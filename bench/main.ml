@@ -499,7 +499,7 @@ let bmc_bench () =
         let c0 = counter "sat.conflicts" in
         let t0 = Obs.Stats.now () in
         let outcome =
-          Obs.Stats.time
+          Obs.span
             (Printf.sprintf "bmc_bench.%s.%s" name tag)
             (fun () -> Bmc.check ~budget:(fresh_budget ()) net ~target:"t" ~depth)
         in
@@ -595,7 +595,7 @@ let backend_bench () =
         in
         let t0 = Obs.Stats.now () in
         let v =
-          Obs.Stats.time
+          Obs.span
             (Printf.sprintf "backend_bench.%s.%s" name arm)
             (fun () ->
               Core.Engine.verify ~config ~budget:(fresh_budget ()) net
@@ -931,7 +931,7 @@ let () =
     in
     List.iter
       (fun arg ->
-        let run f = Obs.Stats.time ("bench." ^ arg) f in
+        let run f = Obs.span ("bench." ^ arg) f in
         match arg with
         | "table1" -> run (fun () -> ignore (table1 ()))
         | "table2" -> run (fun () -> ignore (table2 ()))

@@ -52,25 +52,23 @@ let check_lit ?(from = 0) ?budget ?cert ?backend net target ~depth =
          out of a trace *)
       let c0 = Solver.num_conflicts solver in
       let p0 = Solver.num_propagations solver in
-      let tl, (result, dt) =
-        Obs.Trace.with_span_args "bmc.depth"
+      let tl, result =
+        Obs.Trace.with_span "bmc.depth"
           ~args:[ ("depth", Obs.Trace.Int t) ]
+          ~result:(fun (_, r) ->
+            Obs.Trace.
+              [
+                ("result", String (Encode.Sat_obs.result_name r));
+                ("conflicts", Int (Solver.num_conflicts solver - c0));
+                ("propagations", Int (Solver.num_propagations solver - p0));
+              ])
           (fun () ->
             (* the unrolling of this time step is part of its cost *)
             let tl = Encode.Unroll.lit_at unroll target t in
-            let r =
+            ( tl,
               Encode.Sat_obs.solve ~assumptions:[ tl ] ?budget
-                ~span:"bmc.solve" solver
-            in
-            ( (tl, r),
-              Obs.Trace.
-                [
-                  ("result", String (Encode.Sat_obs.result_name (fst r)));
-                  ("conflicts", Int (Solver.num_conflicts solver - c0));
-                  ("propagations", Int (Solver.num_propagations solver - p0));
-                ] ))
+                ~span:"bmc.solve" solver ))
       in
-      Obs.Stats.add_span (Printf.sprintf "bmc.solve.depth%d" t) dt;
       match result with
       | Solver.Sat ->
         Obs.Stats.count "bmc.hits" 1;

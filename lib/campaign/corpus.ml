@@ -13,7 +13,6 @@ type item = {
   path : string;
   targets : int;
   outcome : outcome;
-  elapsed_s : float;
 }
 
 type summary = {
@@ -79,9 +78,10 @@ let load path =
    as an exception; every failure mode is a tallied outcome and the
    walk continues. *)
 let run_problem ~config ~mk_budget ~certify path =
-  let t0 = Obs.Stats.now () in
   let targets = ref 0 in
   let outcome =
+    Obs.span "corpus.file" ~args:[ ("file", Obs.Trace.String path) ]
+    @@ fun () ->
     match load path with
     | exception Textio.Parse_error { line; msg } ->
       Malformed { line = Some line; msg }
@@ -104,9 +104,7 @@ let run_problem ~config ~mk_budget ~certify path =
           Inconclusive
         else Proved (* vacuously so for a target-free problem *))
   in
-  let elapsed_s = Obs.Stats.now () -. t0 in
-  Obs.Stats.add_span ("corpus.file." ^ Filename.basename path) elapsed_s;
-  { path; targets = !targets; outcome; elapsed_s }
+  { path; targets = !targets; outcome }
 
 let tally items =
   let count p = List.length (List.filter (fun i -> p i.outcome) items) in
@@ -149,7 +147,6 @@ let run ?(jobs = 1) ?(config = Engine.default) ?(mk_budget = fun () -> Obs.Budge
                  path;
                  targets = 0;
                  outcome = Crashed (Printexc.to_string e);
-                 elapsed_s = 0.;
                })
            paths
   in

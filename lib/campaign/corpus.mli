@@ -16,7 +16,6 @@ type item = {
   path : string;
   targets : int;
   outcome : outcome;
-  elapsed_s : float;
 }
 
 type summary = {

@@ -86,7 +86,7 @@ let shrink_finding ~oracle_jobs ~repro_dir ~label (case : Fuzz.case)
     } )
 
 let run_case ~oracle_jobs ~mk_budget ~repro_dir ~seed i =
-  Obs.Stats.time "fuzz.case" (fun () ->
+  Obs.span "fuzz.case" (fun () ->
       match Fuzz.case ~seed i with
       | exception e ->
         (* per-case barrier: a generator crash is itself a finding,

@@ -88,22 +88,26 @@ let controlled_with net fanouts l =
 
 let input_controlled net l = controlled_with net (fanout_counts net) l
 
+(* the per-target body shared by [target] and [all_targets];
+   [analysis] maps the target's cone to its classification *)
+let bound_in net ~analysis ~controlled l =
+  Obs.Stats.count "bound.targets_analyzed" 1;
+  let cone = Coi.of_lits net [ l ] in
+  let coi_regs =
+    List.length (Coi.regs_in net cone) + List.length (Coi.latches_in net cone)
+  in
+  let analysis = analysis cone in
+  let bound =
+    if coi_regs = 0 || controlled l then Sat_bound.of_int 1
+    else Compose.bound_for net analysis l
+  in
+  { bound; analysis; coi_regs }
+
 let target net l =
-  Obs.Stats.time "bound.target" (fun () ->
-      Obs.Stats.count "bound.targets_analyzed" 1;
-      let cone = Coi.of_lits net [ l ] in
-      let coi_regs =
-        List.length (Coi.regs_in net cone)
-        + List.length (Coi.latches_in net cone)
-      in
-      let analysis = Classify.analyze ~within:cone net in
-      let bound =
-        if coi_regs = 0 || input_controlled net l then Sat_bound.of_int 1
-        else begin
-          Compose.bound_for net analysis l
-        end
-      in
-      { bound; analysis; coi_regs })
+  Obs.span "bound.target" (fun () ->
+      bound_in net
+        ~analysis:(fun cone -> Classify.analyze ~within:cone net)
+        ~controlled:(input_controlled net) l)
 
 let target_named net name =
   match List.assoc_opt name (Net.targets net) with
@@ -114,21 +118,10 @@ let target_named net name =
    levelized composition restricts itself to each target's cone, so
    classifying once is equivalent to classifying per cone. *)
 let all_targets net =
-  Obs.Stats.time "bound.all_targets" (fun () ->
+  Obs.span "bound.all_targets" (fun () ->
       let analysis = Classify.analyze net in
-      let fanouts = fanout_counts net in
-      let controlled l = controlled_with net fanouts l in
+      let controlled = controlled_with net (fanout_counts net) in
       List.map
         (fun (name, l) ->
-          Obs.Stats.count "bound.targets_analyzed" 1;
-          let cone = Coi.of_lits net [ l ] in
-          let coi_regs =
-            List.length (Coi.regs_in net cone)
-            + List.length (Coi.latches_in net cone)
-          in
-          let bound =
-            if coi_regs = 0 || controlled l then Sat_bound.of_int 1
-            else Compose.bound_for net analysis l
-          in
-          (name, { bound; analysis; coi_regs }))
+          (name, bound_in net ~analysis:(fun _ -> analysis) ~controlled l))
         (Net.targets net))

@@ -9,18 +9,14 @@
    primitives; {!Engine} composes them per strategy. *)
 
 module Net = Netlist.Net
-module Stats = Obs.Stats
 
-(* every check runs under a stats span and a trace span of the same
-   name, so certification overhead is separable from the solver work
-   it is checking; the trace span records whether the check passed *)
-let timed name f =
-  Obs.Trace.with_span_args name (fun () ->
-      let r = Stats.time name f in
-      (r, [ ("ok", Obs.Trace.Bool (Result.is_ok r)) ]))
+(* every check runs under its own span, so certification overhead is
+   separable from the solver work it is checking; the trace event
+   records whether the check passed *)
+let ok r = [ ("ok", Obs.Trace.Bool (Result.is_ok r)) ]
 
 let check_cex net target cex =
-  timed "certify.replay" (fun () ->
+  Obs.span ~result:ok "certify.replay" (fun () ->
       if Bmc.replay net target cex then Ok ()
       else
         Error
@@ -29,7 +25,7 @@ let check_cex net target cex =
              cex.Bmc.depth))
 
 let check_no_hit ?depth (cert : Bmc.cert) =
-  timed "certify.drup" (fun () ->
+  Obs.span ~result:ok "certify.drup" (fun () ->
       let goals = List.rev_map (fun (_, tl) -> [ tl ]) cert.Bmc.goals in
       let missing =
         (* one refuted goal per depth 0..d, or the answer is not what
@@ -75,7 +71,7 @@ let apply_step d = function
   | Translate.T4 k -> sat_add d k
 
 let check_translation ~raw ~steps ~claimed =
-  timed "certify.translate" (fun () ->
+  Obs.span ~result:ok "certify.translate" (fun () ->
       let negative =
         List.exists
           (function
@@ -110,7 +106,7 @@ let check_recurrence (cert : Recurrence.cert) =
        structural bounds *)
     Ok ()
   | Some (Recurrence.Refutation events) ->
-    timed "certify.drup" (fun () ->
+    Obs.span ~result:ok "certify.drup" (fun () ->
         match Sat.Drup.check events with
         | Ok () -> Ok ()
         | Error msg -> Error ("recurrence closure: " ^ msg))
@@ -128,7 +124,7 @@ let check_induction ~k (cert : Induction.cert) =
         if k = 0 then Ok ()
         else Error "induction certificate has no step-case evidence"
       | Some (events, goal) ->
-        timed "certify.drup" (fun () ->
+        Obs.span ~result:ok "certify.drup" (fun () ->
             match Sat.Drup.check ~goals:[ [ goal ] ] events with
             | Ok () -> Ok ()
             | Error msg -> Error ("step case: " ^ msg))))

@@ -63,6 +63,11 @@ let discharge_depth bound =
 
 exception Done of verdict
 
+let outcome_name = function
+  | Proved _ -> "proved"
+  | Violated _ -> "violated"
+  | Inconclusive _ -> "inconclusive"
+
 (* the one distinguished stand-down reason: resource budget ran out,
    as opposed to a strategy being inapplicable or giving up *)
 let budget_reason = "budget-exhausted"
@@ -90,6 +95,12 @@ type callbacks = {
     ?translator:Translate.t ->
     ?pre:(unit -> (unit, string) result) ->
     Sat_bound.t ->
+    unit;
+  bmc :
+    ?probe:bool ->
+    ?pre:(unit -> (unit, string) result) ->
+    strategy:string ->
+    int ->
     unit;
   certified : (unit -> (unit, string) result) -> verdict -> unit;
 }
@@ -137,6 +148,35 @@ let run_strategy ~config ~certify ~proof_sink ~backend ~slice net ~target
         stand_down (cert_fail_reason ^ ": " ^ msg)
     end
   in
+  (* One BMC run to [depth] on the ORIGINAL netlist, and its verdict
+     behind certification: a [No_hit] is certified by [pre] (the
+     bound's own provenance) plus the DRUP re-check of the run's Unsat
+     answers, whose proof then reaches the sink; a [Hit] by replaying
+     the counterexample.  A [probe] runs without a certificate and
+     only hunts counterexamples: its [No_hit] stands down. *)
+  let bmc ?(probe = false) ?(pre = fun () -> Ok ()) ~strategy depth =
+    let cert = if certify && not probe then Some (Bmc.new_cert ()) else None in
+    match Bmc.check ?cert ~budget:slice ~backend net ~target ~depth with
+    | Bmc.No_hit _ when probe -> stand_down "no shallow counterexample"
+    | Bmc.No_hit d ->
+      certified
+        (fun () ->
+          match pre () with
+          | Error _ as e -> e
+          | Ok () -> (
+            let c = Option.get cert in
+            match Certify.check_no_hit ~depth:d c with
+            | Ok () ->
+              Option.iter (fun sink -> sink c.Bmc.proof) proof_sink;
+              Ok ()
+            | Error _ as e -> e))
+        (Proved { strategy; depth = d })
+    | Bmc.Hit cex ->
+      certified
+        (fun () -> Certify.check_cex net tlit cex)
+        (Violated { strategy; cex })
+    | Bmc.Unknown { why; _ } -> stand_down why
+  in
   (* a finite translated bound below the cutoff closes the problem
      with one complete BMC run on the ORIGINAL netlist.  [raw] is
      the bound as computed on the transformed netlist; [translator]
@@ -168,27 +208,7 @@ let run_strategy ~config ~certify ~proof_sink ~backend ~slice net ~target
         (* bound 0: the target is unhittable at any depth; the
            BMC run would be vacuous (and [depth - 1] negative) *)
         certified arithmetic (Proved { strategy = name; depth = 0 })
-      | Some depth -> (
-        let cert = if certify then Some (Bmc.new_cert ()) else None in
-        match Bmc.check ?cert ~budget:slice ~backend net ~target ~depth with
-        | Bmc.No_hit d ->
-          certified
-            (fun () ->
-              match arithmetic () with
-              | Error _ as e -> e
-              | Ok () -> (
-                let c = Option.get cert in
-                match Certify.check_no_hit ~depth:d c with
-                | Ok () ->
-                  Option.iter (fun sink -> sink c.Bmc.proof) proof_sink;
-                  Ok ()
-                | Error _ as e -> e))
-            (Proved { strategy = name; depth = d })
-        | Bmc.Hit cex ->
-          certified
-            (fun () -> Certify.check_cex net tlit cex)
-            (Violated { strategy = name; cex })
-        | Bmc.Unknown { why; _ } -> stand_down why)
+      | Some depth -> bmc ~pre:arithmetic ~strategy:name depth
     end
   in
   let cb =
@@ -198,6 +218,7 @@ let run_strategy ~config ~certify ~proof_sink ~backend ~slice net ~target
       sink = proof_sink;
       stand_down;
       discharge;
+      bmc;
       certified;
     }
   in
@@ -210,24 +231,22 @@ let run_strategy ~config ~certify ~proof_sink ~backend ~slice net ~target
       None
     end
     else begin
-      (* one trace span per strategy slice; the Done unwind that
-         delivers a verdict is converted to an "outcome" attribute
-         rather than recorded as an exception *)
+      (* one span per strategy slice; the Done unwind that delivers a
+         verdict is converted to an "outcome" attribute rather than
+         recorded as an exception *)
       Obs.Heartbeat.set_phase ("engine." ^ name);
       let won =
-        Obs.Trace.with_span_args ("engine." ^ name)
+        Obs.span ("engine." ^ name)
           ~args:[ ("target", Obs.Trace.String target) ]
-          (fun () ->
-            match Stats.time ("engine." ^ name) (fun () -> body cb) with
-            | () -> (None, [ ("outcome", Obs.Trace.String "stand-down") ])
-            | exception Done v ->
-              let outcome =
-                match v with
-                | Proved _ -> "proved"
-                | Violated _ -> "violated"
-                | Inconclusive _ -> "inconclusive"
-              in
-              (Some v, [ ("outcome", Obs.Trace.String outcome) ]))
+          ~result:(fun won ->
+            [
+              ( "outcome",
+                Obs.Trace.String
+                  (match won with
+                  | None -> "stand-down"
+                  | Some v -> outcome_name v) );
+            ])
+          (fun () -> match body cb with () -> None | exception Done v -> Some v)
       in
       (* a body that returned without concluding or standing down
          would vanish from the attempt log; make the gap visible *)
@@ -258,16 +277,7 @@ let ladder ~config ~backend ~suffix net ~target ~tlit ~rv : strategy list =
     (* 1. shallow probe *)
     ( cell "bmc-probe",
       fun cb ->
-        match
-          Bmc.check ~budget:cb.sbudget ~backend net ~target
-            ~depth:config.probe_depth
-        with
-        | Bmc.Hit cex ->
-          cb.certified
-            (fun () -> Certify.check_cex net tlit cex)
-            (Violated { strategy = cell "bmc-probe"; cex })
-        | Bmc.No_hit _ -> cb.stand_down "no shallow counterexample"
-        | Bmc.Unknown { why; _ } -> cb.stand_down why );
+        cb.bmc ~probe:true ~strategy:(cell "bmc-probe") config.probe_depth );
     (* 2. structural bound, untransformed *)
     ( cell "structural-bound",
       fun cb ->
@@ -335,28 +345,8 @@ let ladder ~config ~backend ~suffix net ~target ~tlit ~rv : strategy list =
                  turn into a depth -1 run.  Note the BDD emptiness
                  result itself has no certificate — only this BMC
                  run is certified *)
-              let cert =
-                if cb.certifying then Some (Bmc.new_cert ()) else None
-              in
-              match
-                Bmc.check ?cert ~budget:cb.sbudget ~backend net ~target
-                  ~depth:(max 0 (config.enlargement_k - 1))
-              with
-              | Bmc.No_hit d ->
-                cb.certified
-                  (fun () ->
-                    let c = Option.get cert in
-                    match Certify.check_no_hit ~depth:d c with
-                    | Ok () ->
-                      Option.iter (fun sink -> sink c.Bmc.proof) cb.sink;
-                      Ok ()
-                    | Error _ as e -> e)
-                  (Proved { strategy = cell "enlargement-empty"; depth = d })
-              | Bmc.Hit cex ->
-                cb.certified
-                  (fun () -> Certify.check_cex net tlit cex)
-                  (Violated { strategy = cell "enlargement-empty"; cex })
-              | Bmc.Unknown { why; _ } -> cb.stand_down why
+              cb.bmc ~strategy:(cell "enlargement-empty")
+                (max 0 (config.enlargement_k - 1))
             end
             else begin
               let name =
@@ -474,16 +464,15 @@ let cells ~config net ~target ~tlit ~rv : (Backend.t * strategy) list =
     bs
   |> transpose |> List.concat
 
+(* engine.verify stays a trace-only span: an aggregate row under
+   "engine." would be counted as a strategy attempt *)
+let verdict_arg v = [ ("verdict", Obs.Trace.String (outcome_name v)) ]
+
 let count_verdict verdict =
   match verdict with
   | Proved _ -> Stats.count "engine.proved" 1
   | Violated _ -> Stats.count "engine.violated" 1
   | Inconclusive _ -> Stats.count "engine.inconclusive" 1
-
-let outcome_name = function
-  | Proved _ -> "proved"
-  | Violated _ -> "violated"
-  | Inconclusive _ -> "inconclusive"
 
 (* ----- the bound cache hooks -----
 
@@ -559,11 +548,9 @@ let verify ?(config = default) ?(budget = Obs.Budget.unlimited)
     with Done v -> v
   in
   let verdict =
-    Obs.Trace.with_span_args "engine.verify"
+    Obs.Trace.with_span "engine.verify"
       ~args:[ ("target", Obs.Trace.String target) ]
-      (fun () ->
-        let v = run_ladder () in
-        (v, [ ("verdict", Obs.Trace.String (outcome_name v)) ]))
+      ~result:verdict_arg run_ladder
   in
   count_verdict verdict;
   verdict
@@ -629,7 +616,7 @@ let verify_portfolio ?(config = default) ?(budget = Obs.Budget.unlimited)
     in
     let indexed = List.mapi (fun i c -> (i, c)) grid in
     let verdict =
-      Obs.Trace.with_span_args "engine.verify"
+      Obs.Trace.with_span "engine.verify" ~result:verdict_arg
         ~args:
           [
             ("target", Obs.Trace.String target);
@@ -663,7 +650,7 @@ let verify_portfolio ?(config = default) ?(budget = Obs.Budget.unlimited)
               Inconclusive
                 { attempts = List.concat_map (fun (_, a, _, _) -> a) results }
           in
-          (v, [ ("verdict", Obs.Trace.String (outcome_name v)) ]))
+          v)
     in
     count_verdict verdict;
     verdict

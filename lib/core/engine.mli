@@ -119,7 +119,7 @@ val verify :
     each discharge BMC run that certified a [Proved] verdict — for
     [--proof] style dumping.
 
-    Every strategy is timed into the {!Obs.Stats} span
+    Every strategy runs under the {!Obs.span}
     ["engine.<strategy>"], and verdicts bump the
     ["engine.proved"/"engine.violated"/"engine.inconclusive"]
     counters.

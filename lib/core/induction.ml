@@ -75,9 +75,8 @@ let step_holds ~unique ?budget ?cert ?backend net target k =
     done;
   let goal = Encode.Frame.lit frames.(k + 1) target in
   match
-    fst
-      (Encode.Sat_obs.solve ~assumptions:[ goal ] ?budget
-         ~span:"induction.solve" solver)
+    Encode.Sat_obs.solve ~assumptions:[ goal ] ?budget ~span:"induction.solve"
+      solver
   with
   | Solver.Unsat ->
     Option.iter

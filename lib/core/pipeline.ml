@@ -28,12 +28,9 @@ let size_args prefix net =
       (prefix ^ "_ands", Int (Net.num_ands net));
     ]
 
-(* one trace span per transformation step, attributed with the
-   before/after netlist sizes; the timed stats span keeps its name *)
-let traced_step name ~before ~after f =
-  Obs.Trace.with_span_args name ~args:(size_args "before" before) (fun () ->
-      let r = Stats.time name f in
-      (r, size_args "after" (after r)))
+(* every transformation step runs under its own span, whose trace
+   event carries the before/after netlist sizes *)
+let after_final r = size_args "after" r.final
 
 (* node/register reduction accounting shared by every pipeline *)
 let record_reduction name ~before ~after =
@@ -72,13 +69,12 @@ let report_on name net translator_of =
   }
 
 let original net =
-  traced_step "pipeline.original" ~before:net
-    ~after:(fun r -> r.final)
-    (fun () -> report_on "Original" net (fun _ -> Translate.identity))
+  Obs.span "pipeline.original" ~args:(size_args "before" net)
+    ~result:after_final (fun () ->
+      report_on "Original" net (fun _ -> Translate.identity))
 
 let com ?budget ?inprocess net =
-  traced_step "pipeline.com" ~before:net
-    ~after:(fun r -> r.final)
+  Obs.span "pipeline.com" ~args:(size_args "before" net) ~result:after_final
     (fun () ->
       let reduced, _stats = Transform.Com.run ?budget ?inprocess net in
       record_reduction "COM" ~before:net ~after:reduced.Transform.Rebuild.net;
@@ -86,27 +82,24 @@ let com ?budget ?inprocess net =
           Translate.trace_equivalence))
 
 let com_ret_com ?budget ?inprocess net =
-  traced_step "pipeline.com-ret-com" ~before:net
-    ~after:(fun r -> r.final)
-    (fun () ->
+  Obs.span "pipeline.com-ret-com" ~args:(size_args "before" net)
+    ~result:after_final (fun () ->
+      let com_after (r, _) = size_args "after" r.Transform.Rebuild.net in
       let first, _ =
-        traced_step "pipeline.com-ret-com.com1" ~before:net
-          ~after:(fun (r, _) -> r.Transform.Rebuild.net)
-          (fun () -> Transform.Com.run ?budget ?inprocess net)
+        Obs.span "pipeline.com-ret-com.com1" ~args:(size_args "before" net)
+          ~result:com_after (fun () -> Transform.Com.run ?budget ?inprocess net)
       in
+      let first = first.Transform.Rebuild.net in
       let retimed =
-        traced_step "pipeline.com-ret-com.ret"
-          ~before:first.Transform.Rebuild.net
-          ~after:(fun r -> r.Transform.Retime.rebuilt.Transform.Rebuild.net)
-          (fun () -> Transform.Retime.run first.Transform.Rebuild.net)
+        Obs.span "pipeline.com-ret-com.ret" ~args:(size_args "before" first)
+          ~result:(fun r ->
+            size_args "after" r.Transform.Retime.rebuilt.Transform.Rebuild.net)
+          (fun () -> Transform.Retime.run first)
       in
       let second, _ =
-        traced_step "pipeline.com-ret-com.com2"
-          ~before:retimed.Transform.Retime.rebuilt.Transform.Rebuild.net
-          ~after:(fun (r, _) -> r.Transform.Rebuild.net)
-          (fun () ->
-            Transform.Com.run ?budget ?inprocess
-              retimed.Transform.Retime.rebuilt.Transform.Rebuild.net)
+        let net = retimed.Transform.Retime.rebuilt.Transform.Rebuild.net in
+        Obs.span "pipeline.com-ret-com.com2" ~args:(size_args "before" net)
+          ~result:com_after (fun () -> Transform.Com.run ?budget ?inprocess net)
       in
       record_reduction "COM,RET,COM" ~before:net
         ~after:second.Transform.Rebuild.net;
@@ -118,8 +111,8 @@ let com_ret_com ?budget ?inprocess net =
                Translate.trace_equivalence)))
 
 let phase_front net =
-  traced_step "pipeline.phase" ~before:net
-    ~after:(fun (abstracted, _) -> abstracted)
+  Obs.span "pipeline.phase" ~args:(size_args "before" net)
+    ~result:(fun (abstracted, _) -> size_args "after" abstracted)
     (fun () ->
       let abstracted = Transform.Phase.run net in
       record_reduction "phase" ~before:net ~after:abstracted.Transform.Phase.net;

@@ -126,9 +126,7 @@ let plain ~limit ?budget ?cert ?backend net target regs =
         add_distinct solver (state_lits i) (state_lits k)
       done;
       incr sat_calls;
-      match
-        fst (Encode.Sat_obs.solve ?budget ~span:"recurrence.solve" solver)
-      with
+      match Encode.Sat_obs.solve ?budget ~span:"recurrence.solve" solver with
       | Solver.Sat -> extend (k + 1)
       | Solver.Unsat ->
         record_refutation cert proof;
@@ -208,9 +206,7 @@ let bounded ~limit ?budget ?cert ?backend net target regs =
           done
       done;
       incr sat_calls;
-      match
-        fst (Encode.Sat_obs.solve ?budget ~span:"recurrence.solve" solver)
-      with
+      match Encode.Sat_obs.solve ?budget ~span:"recurrence.solve" solver with
       | Solver.Sat -> extend (k + 1)
       | Solver.Unsat ->
         record_refutation cert proof;
@@ -227,7 +223,7 @@ let bounded ~limit ?budget ?cert ?backend net target regs =
   extend 1
 
 let compute ?(limit = 64) ?(bounded_coi = false) ?budget ?cert ?backend net target =
-  Obs.Stats.time "recurrence.compute" (fun () ->
+  Obs.span "recurrence.compute" (fun () ->
       (* work on the target's cone only *)
       let cone = Transform.Rebuild.copy ~roots:[ target ] net in
       let target = Transform.Rebuild.map_lit cone target in

@@ -39,22 +39,19 @@ let result_name = function
   | Solver.Unknown _ -> "unknown"
 
 (* [solve ?assumptions ?budget ?span solver] is [Backend.solve] plus
-   recording: the wall-clock time goes to [span] (default "sat.solve")
-   and the statistic deltas to the "sat.*" counters; when a trace is
-   active the call also emits one span (same name) whose attributes
-   carry the per-call deltas and the problem size.  A [budget]
-   translates to the backend's per-call allowances (conflicts,
-   propagations, BDD nodes); an [Unknown] result is counted both here
-   and against the budget layer — except backend-unavailable Unknowns,
-   which are a configuration condition, not an exhausted allowance.
-   Returns the result and the elapsed seconds. *)
+   recording: the call runs under [Obs.span span] (default
+   "sat.solve"), whose trace event carries the per-call deltas and the
+   problem size, and the statistic deltas go to the "sat.*" counters.
+   A [budget] translates to the backend's per-call allowances
+   (conflicts, propagations, BDD nodes); an [Unknown] result is
+   counted both here and against the budget layer — except
+   backend-unavailable Unknowns, which are a configuration condition,
+   not an exhausted allowance. *)
 let solve ?assumptions ?budget ?(span = "sat.solve") solver =
   let s0 = Backend.stats solver in
   (* inprocessing passes show up as their own span nested under the
      solve span, so trace-report attributes time to "sat.simplify" *)
-  Backend.set_simplify_wrapper solver (fun pass ->
-      Obs.Trace.with_span "sat.simplify" (fun () ->
-          Obs.Stats.time "sat.simplify" pass));
+  Backend.set_simplify_wrapper solver (Obs.span "sat.simplify");
   let max_conflicts = Option.bind budget Obs.Budget.conflicts in
   let max_propagations = Option.bind budget Obs.Budget.propagations in
   let max_nodes = Option.bind budget Obs.Budget.bdd_nodes in
@@ -75,27 +72,25 @@ let solve ?assumptions ?budget ?(span = "sat.solve") solver =
             ~learnts:s.Backend.learnts;
           match should_stop with Some f -> f () | None -> false)
   in
-  let result, dt =
-    Obs.Trace.with_span_args span (fun () ->
-        let r =
-          Obs.Stats.timed span (fun () ->
-              Backend.solve ?assumptions ?max_conflicts ?max_propagations
-                ?max_nodes ?should_stop solver)
-        in
+  let result =
+    Obs.span span
+      ~result:(fun r ->
         let s = Backend.stats solver in
-        ( r,
-          Obs.Trace.
-            [
-              ("result", String (result_name (fst r)));
-              ("backend", String (Backend.name solver));
-              ("vars", Int s.Backend.vars);
-              ("clauses", Int s.Backend.clauses);
-              ("conflicts", Int (s.Backend.conflicts - s0.Backend.conflicts));
-              ("decisions", Int (s.Backend.decisions - s0.Backend.decisions));
-              ( "propagations",
-                Int (s.Backend.propagations - s0.Backend.propagations) );
-              ("restarts", Int (s.Backend.restarts - s0.Backend.restarts));
-            ] ))
+        Obs.Trace.
+          [
+            ("result", String (result_name r));
+            ("backend", String (Backend.name solver));
+            ("vars", Int s.Backend.vars);
+            ("clauses", Int s.Backend.clauses);
+            ("conflicts", Int (s.Backend.conflicts - s0.Backend.conflicts));
+            ("decisions", Int (s.Backend.decisions - s0.Backend.decisions));
+            ( "propagations",
+              Int (s.Backend.propagations - s0.Backend.propagations) );
+            ("restarts", Int (s.Backend.restarts - s0.Backend.restarts));
+          ])
+      (fun () ->
+        Backend.solve ?assumptions ?max_conflicts ?max_propagations ?max_nodes
+          ?should_stop solver)
   in
   let s1 = Backend.stats solver in
   Obs.Stats.count "sat.solves" 1;
@@ -122,4 +117,4 @@ let solve ?assumptions ?budget ?(span = "sat.solve") solver =
     (s1.Backend.eliminated - s0.Backend.eliminated);
   Obs.Stats.count "sat.simplify.probed_units"
     (s1.Backend.probed_units - s0.Backend.probed_units);
-  (result, dt)
+  result

@@ -17,15 +17,36 @@ let locked f =
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 
-(* one span table per domain, registered on first use and kept for the
-   life of the process (domains are few: the scheduler pool plus the
-   main domain), merged by {!snapshot} *)
+(* one span table per live domain, registered on first use and merged
+   by {!snapshot}; a worker domain's table is folded into [retired]
+   when the domain exits, so a process that spawns a fresh pool per
+   session keeps one table per live domain, not one per domain ever *)
 let span_tables : (string, span) Hashtbl.t list ref = ref []
+let retired : (string, span) Hashtbl.t = Hashtbl.create 64
+
+(* fold one span record into a table: calls and totals summed, maxima
+   maxed *)
+let merge_into into name (sp : span) =
+  match Hashtbl.find_opt into name with
+  | Some acc ->
+    acc.calls <- acc.calls + sp.calls;
+    acc.total <- acc.total +. sp.total;
+    acc.max <- Float.max acc.max sp.max
+  | None -> Hashtbl.replace into name { sp with calls = sp.calls }
+
+let retire tbl =
+  locked (fun () ->
+      Hashtbl.iter (merge_into retired) tbl;
+      span_tables := List.filter (fun t -> t != tbl) !span_tables)
 
 let span_key : (string, span) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let tbl = Hashtbl.create 64 in
       locked (fun () -> span_tables := tbl :: !span_tables);
+      (* the main domain's exit hooks run before the process's at_exit
+         handlers, which may still record and snapshot: keep its table *)
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () -> retire tbl);
       tbl)
 
 (* CLOCK_MONOTONIC (bechamel's stub, nanoseconds): an NTP step
@@ -83,17 +104,6 @@ let add_span name dt =
   sp.total <- sp.total +. dt;
   if dt > sp.max then sp.max <- dt
 
-let time name f =
-  let t0 = now () in
-  Fun.protect ~finally:(fun () -> add_span name (now () -. t0)) f
-
-let timed name f =
-  let t0 = now () in
-  let r = f () in
-  let dt = now () -. t0 in
-  add_span name dt;
-  (r, dt)
-
 (* ----- distributions -----
 
    Percentile gauges for the serve layer: each [dist name v] appends
@@ -149,38 +159,27 @@ type snapshot = {
 let by_name (a, _) (b, _) = String.compare a b
 
 let snapshot () =
+  let merged : (string, span) Hashtbl.t = Hashtbl.create 64 in
+  let merge = Hashtbl.iter (merge_into merged) in
   let counters, tables =
     locked (fun () ->
+        merge retired;
         ( Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) counters
             [],
           !span_tables ))
   in
-  (* merge the per-domain tables: sum calls and totals, max of maxes.
-     Quiescent domains' records are stable; a domain still recording
-     contributes a consistent-enough prefix (each field is a single
-     word store). *)
-  let merged : (string, span_stats) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun name (sp : span) ->
-          let prev =
-            match Hashtbl.find_opt merged name with
-            | Some s -> s
-            | None -> { calls = 0; total_s = 0.; max_s = 0. }
-          in
-          Hashtbl.replace merged name
-            {
-              calls = prev.calls + sp.calls;
-              total_s = prev.total_s +. sp.total;
-              max_s = Float.max prev.max_s sp.max;
-            })
-        tbl)
-    tables;
+  (* merge the live per-domain tables.  Quiescent domains' records are
+     stable; a domain still recording contributes a consistent-enough
+     prefix (each field is a single word store). *)
+  List.iter merge tables;
   {
     counters = List.sort by_name (dist_counters () @ counters);
     spans =
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) merged []
+      Hashtbl.fold
+        (fun name (sp : span) acc ->
+          (name, { calls = sp.calls; total_s = sp.total; max_s = sp.max })
+          :: acc)
+        merged []
       |> List.sort by_name;
   }
 
@@ -189,11 +188,8 @@ let reset () =
       Hashtbl.reset dists;
       Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
       List.iter
-        (fun tbl ->
-          Hashtbl.iter
-            (fun _ (sp : span) ->
-              sp.calls <- 0;
-              sp.total <- 0.;
-              sp.max <- 0.)
-            tbl)
-        !span_tables)
+        (Hashtbl.iter (fun _ (sp : span) ->
+             sp.calls <- 0;
+             sp.total <- 0.;
+             sp.max <- 0.))
+        (retired :: !span_tables))

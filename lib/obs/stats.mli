@@ -14,7 +14,8 @@
     bumps from scheduler worker domains are never lost), and spans
     accumulate into per-domain tables that {!snapshot} merges (calls
     and totals summed, maxima maxed), so one report covers the whole
-    process no matter which domain did the work. *)
+    process no matter which domain did the work.  A worker domain's
+    table is folded into a retired aggregate when the domain exits. *)
 
 type counter
 type span
@@ -66,17 +67,11 @@ val dist : string -> float -> unit
 
 (** {1 Spans} *)
 
-val time : string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f], accumulating its wall-clock duration into
-    the named span; the duration is recorded even when [f] raises. *)
-
-val timed : string -> (unit -> 'a) -> 'a * float
-(** Like {!time}, but also returns the measured duration in seconds
-    (not recorded when [f] raises). *)
-
 val add_span : string -> float -> unit
-(** Record an externally measured duration (seconds); negative values
-    are clamped to zero. *)
+(** Record one call of the named span with the given duration
+    (seconds); negative values are clamped to zero.  The sink
+    {!Obs.span} writes to: instrumented code times through
+    {!Obs.span}, which feeds this aggregate and the trace at once. *)
 
 (** {1 Snapshots} *)
 

@@ -198,12 +198,12 @@ let flush () =
 
 let now_us st = (Stats.now () -. st.t0) *. 1e6
 
-let end_span st l extra =
+let end_span st l ~t_us extra =
   match l.stack with
   | [] -> () (* unbalanced end; drop rather than crash the run *)
   | f :: rest ->
     l.stack <- rest;
-    let dur = Float.max 0. (now_us st -. f.f_ts) in
+    let dur = Float.max 0. (t_us -. f.f_ts) in
     push st l
       {
         name = f.f_name;
@@ -228,7 +228,7 @@ let stop () =
     List.iter
       (fun l ->
         while l.stack <> [] do
-          end_span st l [ ("truncated", Bool true) ]
+          end_span st l ~t_us:(now_us st) [ ("truncated", Bool true) ]
         done;
         drain st l)
       locals;
@@ -280,33 +280,39 @@ let instant ?(args = []) name =
     push st (local ())
       { name; kind = Instant; ts_us = now_us st; dur_us = 0.; args }
 
-let with_span ?(args = []) name f =
-  match !state with
-  | None -> f ()
-  | Some st ->
-    let l = local () in
-    l.stack <- { f_name = name; f_ts = now_us st; f_args = args } :: l.stack;
+(* One clock pair times [f] for both consumers: the trace event (when
+   a trace is active) and [record] (when given).  With neither, [f]
+   runs untimed — the inactive-trace fast path. *)
+let with_span ?(args = []) ?result ?record name f =
+  match (!state, record) with
+  | None, None -> f ()
+  | st, _ ->
+    let t0 = Stats.now () in
+    let opened =
+      Option.map
+        (fun st ->
+          let l = local () in
+          l.stack <-
+            { f_name = name; f_ts = (t0 -. st.t0) *. 1e6; f_args = args }
+            :: l.stack;
+          (st, l))
+        st
+    in
+    let finish extra =
+      let t1 = Stats.now () in
+      Option.iter (fun record -> record (t1 -. t0)) record;
+      Option.iter
+        (fun (st, l) -> end_span st l ~t_us:((t1 -. st.t0) *. 1e6) (extra ()))
+        opened
+    in
     (match f () with
     | r ->
-      end_span st l [];
+      finish (fun () -> match result with Some g -> g r | None -> []);
       r
     | exception e ->
-      end_span st l [ ("exception", String (Printexc.to_string e)) ];
-      raise e)
-
-let with_span_args ?(args = []) name f =
-  match !state with
-  | None -> fst (f ())
-  | Some st ->
-    let l = local () in
-    l.stack <- { f_name = name; f_ts = now_us st; f_args = args } :: l.stack;
-    (match f () with
-    | r, extra ->
-      end_span st l extra;
-      r
-    | exception e ->
-      end_span st l [ ("exception", String (Printexc.to_string e)) ];
-      raise e)
+      let bt = Printexc.get_raw_backtrace () in
+      finish (fun () -> [ ("exception", String (Printexc.to_string e)) ]);
+      Printexc.raise_with_backtrace e bt)
 
 let to_json ?(tid = 0) e = json_of_event ~tid e
 

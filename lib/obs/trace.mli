@@ -72,14 +72,24 @@ val active : unit -> bool
 
 (** {1 Recording} *)
 
-val with_span : ?args:arg list -> string -> (unit -> 'a) -> 'a
-(** Run the function under a named span.  The span is recorded even
-    when the function raises (with an ["exception"] attribute). *)
+val with_span :
+  ?args:arg list ->
+  ?result:('a -> arg list) ->
+  ?record:(float -> unit) ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** Run the function under a named span.  [result] maps the return
+    value to attributes only known at the end (per-call solver deltas,
+    verdicts, after-sizes), appended to [args].  The span is recorded
+    even when the function raises, with an ["exception"] attribute
+    instead.
 
-val with_span_args : ?args:arg list -> string -> (unit -> 'a * arg list) -> 'a
-(** Like {!with_span} for attributes only known at the end — the
-    function returns the result plus trailing attributes (per-call
-    solver deltas, verdicts, after-sizes), appended to [args]. *)
+    [record], when given, receives the span's duration in seconds —
+    also when the function raises, and also when no trace is active —
+    from the same clock readings as the trace event.  It is how
+    {!Obs.span} feeds the {!Stats} aggregate; aggregate call sites use
+    {!Obs.span} rather than passing it. *)
 
 val instant : ?args:arg list -> string -> unit
 (** A point event at the current time. *)

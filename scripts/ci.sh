@@ -231,6 +231,22 @@ grep -q '"corpus.files"' "$tmpdir/corpus.json" \
   || { echo "ci: corpus tallies missing from snapshot (FAIL)"; exit 1; }
 echo "ci: corpus snapshot gate ok"
 
+# One aggregate row per layer: per-depth BMC and per-file corpus detail
+# rides on trace attributes, never in span names, so neither a verify
+# run nor the corpus walk may mint a row per instance.
+rc=0
+timeout 60 dune exec bin/verify_tool.exe -- examples/ring5.bench \
+  --stats-json "$tmpdir/ring5.json" > /dev/null || rc=$?
+case "$rc" in
+  0|1) ;;
+  *) echo "ci: ring5 stats run exit $rc (FAIL)"; exit 1 ;;
+esac
+for snap in "$tmpdir/ring5.json" "$tmpdir/corpus.json"; do
+  grep -qE '"(bmc\.solve\.depth|corpus\.file\.)' "$snap" \
+    && { echo "ci: per-instance span rows in $snap (FAIL)"; exit 1; }
+done
+echo "ci: per-layer span rows ok"
+
 # Fuzz smoke: a fixed-seed campaign on a healthy build must report
 # zero findings — each design runs through the differential oracle
 # matrix (ladder / no-inprocessing / portfolio / expired budget), so

@@ -110,7 +110,7 @@ let test_meta_file_roundtrip () =
     (fun () ->
       Stats.reset ();
       Stats.count "t.k" 3;
-      ignore (Stats.time "t.s" (fun () -> ()));
+      Obs.span "t.s" (fun () -> ());
       Report.write_file ~meta:meta_v1 path (Stats.snapshot ());
       let e = Baseline.load path in
       Helpers.check_bool "meta survives the file" true (e.Baseline.meta = meta_v1);

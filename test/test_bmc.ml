@@ -131,6 +131,47 @@ let test_frames_agree_with_replay () =
     Helpers.check_bool "hit in the final frame" true (hit_at cex.Bmc.depth)
   | Bmc.No_hit _ | Bmc.Unknown _ -> Alcotest.fail "expected a hit"
 
+let test_per_layer_rows () =
+  (* BMC leaves one aggregate row however deep it searches; the
+     per-depth cost lives on the trace's bmc.depth events *)
+  let net = Net.create () in
+  let c = Workload.Gen.counter net ~name:"c" ~bits:3 ~enable:Lit.true_ in
+  Net.add_target net "t" c.Workload.Gen.out;
+  let path = Filename.temp_file "diambound_bmc" ".trace.jsonl" in
+  let events =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Obs.Stats.reset ();
+        Obs.Trace.start path;
+        (match Bmc.check net ~target:"t" ~depth:10 with
+        | Bmc.Hit _ -> ()
+        | Bmc.No_hit _ | Bmc.Unknown _ -> Alcotest.fail "counter must hit");
+        Obs.Trace.stop ();
+        Obs.Trace.read_file path)
+  in
+  let spans = (Obs.Stats.snapshot ()).Obs.Stats.spans in
+  (match List.assoc_opt "bmc.solve" spans with
+  | Some row -> Helpers.check_int "one solve per depth 0..7" 8 row.Obs.Stats.calls
+  | None -> Alcotest.fail "no bmc.solve row");
+  Helpers.check_bool "no per-depth aggregate rows" false
+    (List.exists
+       (fun (name, _) ->
+         String.length name > 15 && String.sub name 0 15 = "bmc.solve.depth")
+       spans);
+  let depths =
+    List.filter_map
+      (fun (e : Obs.Trace.event) ->
+        if e.Obs.Trace.name <> "bmc.depth" then None
+        else
+          match List.assoc_opt "depth" e.Obs.Trace.args with
+          | Some (Obs.Trace.Int d) -> Some d
+          | _ -> Alcotest.fail "bmc.depth event without a depth")
+      events
+  in
+  Helpers.check Alcotest.(list int) "one bmc.depth event per depth"
+    [ 0; 1; 2; 3; 4; 5; 6; 7 ] depths
+
 let suite =
   [
     Alcotest.test_case "counter hit depth" `Quick test_counter_hit_depth;
@@ -141,6 +182,8 @@ let suite =
     Alcotest.test_case "unknown target" `Quick test_unknown_target;
     Alcotest.test_case "frames agree with replay" `Quick
       test_frames_agree_with_replay;
+    Alcotest.test_case "per-layer rows, per-depth trace" `Quick
+      test_per_layer_rows;
     prop_bmc_agrees_with_exact;
     prop_cex_replays;
   ]

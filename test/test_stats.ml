@@ -31,11 +31,11 @@ let test_counters () =
 
 let test_spans () =
   fresh ();
-  let v = Stats.time "t.span" (fun () -> 41 + 1) in
-  Helpers.check_int "time returns the value" 42 v;
-  ignore (Stats.time "t.span" (fun () -> ()));
+  let v = Obs.span "t.span" (fun () -> 41 + 1) in
+  Helpers.check_int "span returns the value" 42 v;
+  Obs.span "t.span" (fun () -> ());
   (* exceptions still record the span *)
-  (try Stats.time "t.span" (fun () -> failwith "boom") with Failure _ -> ());
+  (try Obs.span "t.span" (fun () -> failwith "boom") with Failure _ -> ());
   let snap = Stats.snapshot () in
   let sp = List.assoc "t.span" snap.Stats.spans in
   Helpers.check_int "three calls recorded" 3 sp.Stats.calls;
@@ -45,7 +45,7 @@ let test_spans () =
 let test_reset () =
   fresh ();
   Stats.count "t.x" 5;
-  ignore (Stats.time "t.y" (fun () -> ()));
+  Obs.span "t.y" (fun () -> ());
   Stats.reset ();
   let snap = Stats.snapshot () in
   Helpers.check_int "counter zeroed, still registered" 0
@@ -57,7 +57,7 @@ let test_json_roundtrip () =
   fresh ();
   Stats.count "t.n" 12;
   Stats.set_gauge "t.g" 0;
-  ignore (Stats.time "t.s" (fun () -> ()));
+  Obs.span "t.s" (fun () -> ());
   let snap = Stats.snapshot () in
   let json = Report.json_of_snapshot snap in
   let text = Report.to_string json in
@@ -222,6 +222,21 @@ let test_multi_domain_counters () =
       (List.mem_assoc name snap.Stats.spans)
   done
 
+let test_retired_domains_fold () =
+  (* a domain's span table outlives it only as part of the retired
+     aggregate: domains spawned and joined one after another each
+     leave their span behind, and reset zeroes it with the rest *)
+  fresh ();
+  for _ = 1 to 8 do
+    Domain.join (Domain.spawn (fun () -> Obs.span "t.retired" (fun () -> ())))
+  done;
+  let calls () =
+    (List.assoc "t.retired" (Stats.snapshot ()).Stats.spans).Stats.calls
+  in
+  Helpers.check_int "every exited domain's call survives" 8 (calls ());
+  Stats.reset ();
+  Helpers.check_int "reset zeroes the retired aggregate" 0 (calls ())
+
 (* satellite: dist reservoirs are shared (mutex-guarded), so the
    folded percentile counters must not depend on WHICH domain recorded
    each sample — scatter the same samples over 4 worker domains and
@@ -253,7 +268,7 @@ let qcheck_dist_domain_independent =
 let test_pp_human_smoke () =
   fresh ();
   Stats.count "t.k" 2;
-  ignore (Stats.time "t.t" (fun () -> ()));
+  Obs.span "t.t" (fun () -> ());
   let text = Format.asprintf "%a" Report.pp_human (Stats.snapshot ()) in
   Helpers.check_bool "mentions the counter" true (contains text "t.k");
   Helpers.check_bool "mentions the span" true (contains text "t.t")
@@ -278,6 +293,8 @@ let suite =
       test_engine_populates_stats;
     Alcotest.test_case "multi-domain counters merge" `Quick
       test_multi_domain_counters;
+    Alcotest.test_case "retired domains fold into the aggregate" `Quick
+      test_retired_domains_fold;
     qcheck_dist_domain_independent;
     Alcotest.test_case "pp_human smoke" `Quick test_pp_human_smoke;
   ]

@@ -80,8 +80,14 @@ let test_disabled_noop () =
   Trace.instant "ghost";
   Helpers.check_int "with_span runs the body" 7
     (Trace.with_span "s" (fun () -> 7));
-  Helpers.check_int "with_span_args drops the trailing args" 9
-    (Trace.with_span_args "s" (fun () -> (9, [ ("k", Trace.Int 1) ])))
+  let asked = ref false in
+  Helpers.check_int "with_span ~result returns the body's value" 9
+    (Trace.with_span "s"
+       ~result:(fun _ ->
+         asked := true;
+         [ ("k", Trace.Int 1) ])
+       (fun () -> 9));
+  Helpers.check_bool "result attributes not computed untraced" false !asked
 
 let test_span_capture () =
   let events =
@@ -146,6 +152,88 @@ let test_stop_truncates_open_spans () =
     Helpers.check_bool "marked truncated" true
       (List.assoc_opt "truncated" e.Trace.args = Some (Trace.Bool true))
   | _ -> Alcotest.fail "expected exactly the truncated span"
+
+(* ----- Obs.span: one call, one aggregate row and one trace event ----- *)
+
+let span_row name =
+  List.assoc_opt name (Obs.Stats.snapshot ()).Obs.Stats.spans
+
+let traced f =
+  with_tmp (fun path ->
+      Obs.Stats.reset ();
+      Trace.start ~format:Trace.Jsonl path;
+      Fun.protect ~finally:Trace.stop f;
+      Trace.read_file path)
+
+let test_obs_span_feeds_both () =
+  let events =
+    traced (fun () ->
+        Helpers.check_int "value through the span" 5
+          (Obs.span "t.both" ~args:[ ("k", Trace.Int 1) ] (fun () -> 5)))
+  in
+  match (events, span_row "t.both") with
+  | [ e ], Some row ->
+    Helpers.check_bool "event named" true (e.Trace.name = "t.both");
+    Helpers.check_bool "event kept its args" true
+      (e.Trace.args = [ ("k", Trace.Int 1) ]);
+    Helpers.check_int "one aggregate call" 1 row.Obs.Stats.calls;
+    (* one clock pair measured both *)
+    Helpers.check_bool "same duration in both" true
+      (Float.abs (e.Trace.dur_us -. (row.Obs.Stats.total_s *. 1e6)) < 1.)
+  | _ -> Alcotest.fail "expected one event and one aggregate row"
+
+let test_obs_span_records_raise () =
+  let asked = ref false in
+  let events =
+    traced (fun () ->
+        try
+          Obs.span "t.raise"
+            ~result:(fun () ->
+              asked := true;
+              [])
+            (fun () -> failwith "kapow")
+        with Failure _ -> ())
+  in
+  Helpers.check_bool "result not asked of a raise" false !asked;
+  (match span_row "t.raise" with
+  | Some row -> Helpers.check_int "aggregate recorded" 1 row.Obs.Stats.calls
+  | None -> Alcotest.fail "no aggregate row for a raising span");
+  match events with
+  | [ e ] -> (
+    match List.assoc_opt "exception" e.Trace.args with
+    | Some (Trace.String msg) ->
+      Helpers.check_bool "exception text captured" true (contains msg "kapow")
+    | _ -> Alcotest.fail "no exception attribute")
+  | _ -> Alcotest.fail "expected exactly the failing span"
+
+let test_obs_span_appends_result () =
+  let events =
+    traced (fun () ->
+        ignore
+          (Obs.span "t.result"
+             ~args:[ ("before", Trace.Int 1) ]
+             ~result:(fun r -> [ ("after", Trace.Int r) ])
+             (fun () -> 2)))
+  in
+  match events with
+  | [ e ] ->
+    Helpers.check_bool "result attributes follow args" true
+      (e.Trace.args = [ ("before", Trace.Int 1); ("after", Trace.Int 2) ])
+  | _ -> Alcotest.fail "expected one event"
+
+let test_obs_span_untraced () =
+  Trace.stop ();
+  Obs.Stats.reset ();
+  let asked = ref false in
+  Obs.span "t.untraced"
+    ~result:(fun () ->
+      asked := true;
+      [])
+    (fun () -> ());
+  Helpers.check_bool "no trace attributes computed" false !asked;
+  match span_row "t.untraced" with
+  | Some row -> Helpers.check_int "aggregate still recorded" 1 row.Obs.Stats.calls
+  | None -> Alcotest.fail "untraced span lost its aggregate row"
 
 let test_unwritable_sink_is_nonfatal () =
   Trace.start "/nonexistent-dir/trace.json";
@@ -370,6 +458,14 @@ let suite =
     Alcotest.test_case "span capture" `Quick test_span_capture;
     Alcotest.test_case "exception annotates span" `Quick
       test_exception_annotates_span;
+    Alcotest.test_case "Obs.span feeds aggregate and trace" `Quick
+      test_obs_span_feeds_both;
+    Alcotest.test_case "Obs.span records a raising body" `Quick
+      test_obs_span_records_raise;
+    Alcotest.test_case "Obs.span appends result attributes" `Quick
+      test_obs_span_appends_result;
+    Alcotest.test_case "Obs.span aggregates without a trace" `Quick
+      test_obs_span_untraced;
     Alcotest.test_case "stop truncates open spans" `Quick
       test_stop_truncates_open_spans;
     Alcotest.test_case "unwritable sink is nonfatal" `Quick
