@@ -79,9 +79,7 @@ let run file target depth complete certify proof vcd budget jobs stats
     if Net.targets net = [] then
       Cli.die Cli.usage_error "netlist has no targets";
     let code = run_all net certify budget jobs complete depth in
-    Obs.Report.emit ~human:stats ?json_file:stats_json
-      ~meta:(Cli.stats_meta ~tool:"bmc-check" ~experiments:[ "bmc" ] budget)
-      ();
+    Obs.Report.emit ~human:stats ?json_file:stats_json ();
     code
   end
   else
@@ -107,9 +105,7 @@ let run file target depth complete certify proof vcd budget jobs stats
     else depth
   in
   let finish () =
-    Obs.Report.emit ~human:stats ?json_file:stats_json
-      ~meta:(Cli.stats_meta ~tool:"bmc-check" ~experiments:[ "bmc" ] budget)
-      ()
+    Obs.Report.emit ~human:stats ?json_file:stats_json ()
   in
   let cert = if certify then Some (Bmc.new_cert ()) else None in
   let dump_proof () =

@@ -213,22 +213,6 @@ let log_file =
    flag wins, otherwise DIAMBOUND_LOG applies (via the flag's env) *)
 let setup_log level file = Obs.Log.setup ?level ?file ()
 
-(* schema version of the --stats-json / bench snapshot format; bump
-   when the snapshot or meta shape changes incompatibly *)
-let stats_schema_version = 2
-
-(* self-describing "meta" object for --stats-json snapshots, so a
-   stored baseline can refuse to compare against a different tool,
-   experiment mix, or schema *)
-let stats_meta ~tool ~experiments budget =
-  Obs.Report.
-    [
-      ("schema", Int stats_schema_version);
-      ("tool", String tool);
-      ("experiments", List (List.map (fun e -> String e) experiments));
-      ("budget", String (Format.asprintf "%a" Obs.Budget.pp budget));
-    ]
-
 let stats =
   Arg.(
     value & flag

@@ -77,9 +77,7 @@ let run file design pipeline cutoff recurrence budget jobs stats stats_json
   let s = Core.Pipeline.summarize ~cutoff report in
   Format.printf "targets below cutoff %d: %d/%d (avg %.1f)@." cutoff
     s.Core.Pipeline.proved_small s.Core.Pipeline.total s.Core.Pipeline.average;
-  Obs.Report.emit ~human:stats ?json_file:stats_json
-    ~meta:(Cli.stats_meta ~tool:"diam" ~experiments:[ pipeline ] budget)
-    ();
+  Obs.Report.emit ~human:stats ?json_file:stats_json ();
   Cli.ok
 
 open Cmdliner
@@ -205,11 +203,7 @@ let run_batch files cutoff certify budget_spec jobs queue_limit cache_mb stats
         Format.printf "%s:%-24s error %s: %s@." file t code detail;
         incr errors)
     problems outcomes;
-  Obs.Report.emit ~human:stats ?json_file:stats_json
-    ~meta:
-      (Cli.stats_meta ~tool:"diam" ~experiments:[ "batch" ]
-         (Cli.budget_of_spec budget_spec))
-    ();
+  Obs.Report.emit ~human:stats ?json_file:stats_json ();
   if !violated > 0 then Cli.violated
   else if !errors > 0 then Cli.internal_error
   else if !inconclusive > 0 then Cli.inconclusive
@@ -276,9 +270,6 @@ let run_serve socket jobs queue_limit cache_mb chaos_seed stall_window
   (* stats go to stderr: serve's stdout is the JSONL response stream
      and must stay byte-identical to the protocol (CI diffs it) *)
   Obs.Report.emit ~ppf:Format.err_formatter ~human:stats ?json_file:stats_json
-    ~meta:
-      (Cli.stats_meta ~tool:"diam" ~experiments:[ "serve" ]
-         Obs.Budget.unlimited)
     ();
   code
 
@@ -369,8 +360,8 @@ let serve_cmd =
 (* Output discipline: stdout carries no timings, so the report is
    byte-identical across --jobs values (CI diffs jobs 1 vs 2); timing
    lives in --stats/--stats-json. *)
-let run_corpus dir cutoff certify budget_spec jobs baseline fail_on_regress
-    stats stats_json trace log_level log_file no_inprocess backend =
+let run_corpus dir cutoff certify budget_spec jobs stats stats_json trace
+    log_level log_file no_inprocess backend =
   Cli.setup_trace trace;
   Cli.setup_log log_level log_file;
   Cli.apply_inprocess no_inprocess;
@@ -398,30 +389,8 @@ let run_corpus dir cutoff certify budget_spec jobs baseline fail_on_regress
     summary.Campaign.Corpus.proved summary.Campaign.Corpus.violated
     summary.Campaign.Corpus.timeout summary.Campaign.Corpus.inconclusive
     summary.Campaign.Corpus.malformed summary.Campaign.Corpus.crashed;
-  let meta =
-    Cli.stats_meta ~tool:"diam" ~experiments:[ "corpus" ]
-      (Cli.budget_of_spec budget_spec)
-  in
-  Obs.Report.emit ~human:stats ?json_file:stats_json ~meta ();
-  let rc = Campaign.Corpus.exit_code summary in
-  match baseline with
-  | None -> rc
-  | Some base_file -> (
-    let base = Obs.Baseline.load base_file in
-    let cur = { Obs.Baseline.meta; snap = Obs.Stats.snapshot () } in
-    match Obs.Baseline.compat ~base ~cur with
-    | Error msg -> Cli.die Cli.usage_error "baseline %s: %s" base_file msg
-    | Ok () -> (
-      let d = Obs.Baseline.diff ~base ~cur in
-      match fail_on_regress with
-      | None -> rc
-      | Some threshold_pct ->
-        let regs = Obs.Baseline.regressions ~threshold_pct d in
-        List.iter
-          (fun (name, growth) ->
-            Format.printf "REGRESSION %s +%.1f%%@." name growth)
-          regs;
-        if regs <> [] then Cli.violated else rc))
+  Obs.Report.emit ~human:stats ?json_file:stats_json ();
+  Campaign.Corpus.exit_code summary
 
 let corpus_cmd =
   let dir =
@@ -436,21 +405,6 @@ let corpus_cmd =
       & info [ "cutoff" ] ~docv:"N"
           ~doc:"Largest diameter bound considered BMC-dischargeable")
   in
-  let baseline =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Stored BENCH_* snapshot to diff the corpus stats against")
-  in
-  let fail_on_regress =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "fail-on-regress" ] ~docv:"PCT"
-          ~doc:"With $(b,--baseline): exit 1 when any span regressed by \
-                more than $(docv) percent")
-  in
   let doc =
     "walk a directory tree of .bench/.aag problems, verifying every one \
      under a fresh per-problem budget and a per-problem exception barrier: \
@@ -461,9 +415,8 @@ let corpus_cmd =
   Cmd.v (Cmd.info "corpus" ~doc)
     Term.(
       const run_corpus $ dir $ cutoff $ Cli.certify $ Cli.budget_spec
-      $ Cli.jobs $ baseline $ fail_on_regress $ Cli.stats $ Cli.stats_json
-      $ Cli.trace $ Cli.log_level $ Cli.log_file $ Cli.no_inprocess
-      $ Cli.backend)
+      $ Cli.jobs $ Cli.stats $ Cli.stats_json $ Cli.trace $ Cli.log_level
+      $ Cli.log_file $ Cli.no_inprocess $ Cli.backend)
 
 (* ----- fuzz: the adversarial differential campaign ----- *)
 
@@ -508,11 +461,7 @@ let run_fuzz count seed jobs repro_dir stats stats_json trace log_level
   Format.printf "fuzz: %d cases, %d findings (seed %d)@."
     report.Campaign.Hunt.count report.Campaign.Hunt.findings
     report.Campaign.Hunt.seed;
-  Obs.Report.emit ~human:stats ?json_file:stats_json
-    ~meta:
-      (Cli.stats_meta ~tool:"diam" ~experiments:[ "fuzz" ]
-         Obs.Budget.unlimited)
-    ();
+  Obs.Report.emit ~human:stats ?json_file:stats_json ();
   if report.Campaign.Hunt.findings > 0 then Cli.violated else Cli.ok
 
 let fuzz_cmd =

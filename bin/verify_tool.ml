@@ -71,9 +71,7 @@ let run file target cutoff certify proof vcd budget jobs stats stats_json trace
       | Core.Engine.Proved _ -> ()
       | Core.Engine.Inconclusive _ -> incr inconclusive)
     targets;
-  Obs.Report.emit ~human:stats ?json_file:stats_json
-    ~meta:(Cli.stats_meta ~tool:"diam-verify" ~experiments:[ "verify" ] budget)
-    ();
+  Obs.Report.emit ~human:stats ?json_file:stats_json ();
   if !violated > 0 then Cli.violated
   else if !inconclusive > 0 then Cli.inconclusive
   else Cli.ok

@@ -490,14 +490,12 @@ let seed_strategies bcache cells =
   | None -> cells
   | Some (cache, kp) ->
     List.map
-      (fun ((backend, (name, body)) as c) ->
+      (fun ((backend, (name, _)) as c) ->
         match Bcache.peek cache (kp ^ name) with
         | Some (Bcache.Bound { raw; _ }) ->
           Stats.count "engine.cache.bound_seeded" 1;
           (backend, (name, fun cb -> cb.discharge raw))
-        | Some _ | None ->
-          ignore body;
-          c)
+        | Some _ | None -> c)
       cells
 
 (* Bounds enter the cache only off a certified [Proved]: that
@@ -719,11 +717,9 @@ let exhausted = function
 let cert_failed = function
   | Proved _ | Violated _ -> None
   | Inconclusive { attempts } ->
-    let p = cert_fail_reason in
-    let plen = String.length p in
     List.find_map
       (fun a ->
-        if String.length a.reason >= plen && String.equal (String.sub a.reason 0 plen) p
+        if String.starts_with ~prefix:cert_fail_reason a.reason
         then Some (a.strategy ^ ": " ^ a.reason)
         else None)
       attempts

@@ -4,9 +4,8 @@
     ({!Log}), structured tracing with Chrome/JSONL export ({!Trace})
     and its offline analyzer ({!Trace_report}), the live in-flight
     progress table ({!Heartbeat}) with its Prometheus/JSONL renderer
-    ({!Metrics}), snapshot diffing for bench baselines ({!Baseline}),
-    resource budgets ({!Budget}) and warn-and-continue file output
-    ({!Fileout}).
+    ({!Metrics}), resource budgets ({!Budget}) and warn-and-continue
+    file output ({!Fileout}).
 
     The hot layers (SAT solver callers, the unroller, the BMC loop,
     the transformation pipelines and the verification engine) time
@@ -25,7 +24,6 @@ module Trace = Trace
 module Trace_report = Trace_report
 module Heartbeat = Heartbeat
 module Metrics = Metrics
-module Baseline = Baseline
 
 (** [span ?args ?result name f] runs [f] once under one clock pair and
     records its duration twice over: into the {!Stats} aggregate under

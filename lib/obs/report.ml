@@ -243,10 +243,9 @@ let parse text =
 
 (* ----- snapshot conversion ----- *)
 
-let json_of_snapshot ?(meta = []) (s : Stats.snapshot) =
+let json_of_snapshot (s : Stats.snapshot) =
   Obj
-    ((match meta with [] -> [] | m -> [ ("meta", Obj m) ])
-    @ [
+    [
       ("counters", Obj (List.map (fun (name, n) -> (name, Int n)) s.Stats.counters));
       ( "spans",
         Obj
@@ -260,42 +259,7 @@ let json_of_snapshot ?(meta = []) (s : Stats.snapshot) =
                      ("max_s", Float sp.Stats.max_s);
                    ] ))
              s.Stats.spans) );
-    ])
-
-let shape_fail what = failwith ("Report.snapshot_of_json: expected " ^ what)
-
-let as_obj = function Obj fields -> fields | _ -> shape_fail "an object"
-let as_int = function Int n -> n | _ -> shape_fail "an integer"
-
-let as_float = function
-  | Float f -> f
-  | Int n -> float_of_int n
-  | Null -> Float.nan (* non-finite values are emitted as null *)
-  | _ -> shape_fail "a number"
-
-let field fields name =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> shape_fail (Printf.sprintf "field %S" name)
-
-let snapshot_of_json j =
-  let top = as_obj j in
-  let counters =
-    List.map (fun (name, v) -> (name, as_int v)) (as_obj (field top "counters"))
-  in
-  let spans =
-    List.map
-      (fun (name, v) ->
-        let f = as_obj v in
-        ( name,
-          {
-            Stats.calls = as_int (field f "calls");
-            total_s = as_float (field f "total_s");
-            max_s = as_float (field f "max_s");
-          } ))
-      (as_obj (field top "spans"))
-  in
-  { Stats.counters; spans }
+    ]
 
 (* ----- human rendering ----- *)
 
@@ -326,21 +290,21 @@ let pp_human ppf (s : Stats.snapshot) =
       s.Stats.spans
   end
 
-let write_file ?meta path s =
+let write_file path s =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (to_string (json_of_snapshot ?meta s));
+      output_string oc (to_string (json_of_snapshot s));
       output_char oc '\n')
 
-let emit ?(ppf = Format.std_formatter) ?(human = false) ?json_file ?meta () =
+let emit ?(ppf = Format.std_formatter) ?(human = false) ?json_file () =
   let s = Stats.snapshot () in
   if human then Format.fprintf ppf "%a" pp_human s;
   match json_file with
   | Some path -> (
     (* stats output must not turn a successful run into a crash *)
-    match write_file ?meta path s with
+    match write_file path s with
     | () -> Format.fprintf ppf "stats: JSON snapshot written to %s@." path
     | exception Sys_error msg ->
       Format.eprintf "stats: cannot write JSON snapshot: %s@." msg)

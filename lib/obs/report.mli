@@ -9,7 +9,7 @@
                                 "max_s": <number> }, ... } }
     v}
     with keys emitted in sorted order, so diffs between runs are
-    meaningful and BENCH_*.json entries are reproducible. *)
+    meaningful. *)
 
 (** {1 JSON} *)
 
@@ -25,38 +25,28 @@ type json =
 val to_string : json -> string
 (** Compact rendering with sorted-as-given keys and round-trippable
     floats.  Non-finite floats (nan, infinities) have no JSON literal
-    and are emitted as [null]; numeric accessors on the parse side
-    read [null] back as [nan], so a snapshot containing one still
-    round-trips to valid JSON. *)
+    and are emitted as [null] ({!Trace.read_file} reads it back as
+    [nan]), so a snapshot containing one is still valid JSON. *)
 
 val parse : string -> json
 (** @raise Failure on malformed input. *)
 
 (** {1 Snapshots} *)
 
-val json_of_snapshot : ?meta:(string * json) list -> Stats.snapshot -> json
-(** A non-empty [meta] is prepended as a top-level ["meta"] object —
-    tool name, experiment list, budget flags, schema version — so
-    snapshot files are self-describing and {!Baseline} can refuse to
-    compare mismatched runs. *)
-
-val snapshot_of_json : json -> Stats.snapshot
-(** @raise Failure when the shape does not match the schema above.
-    Unknown top-level fields (such as ["meta"]) are ignored; use
-    {!Baseline.of_json} to read the meta back. *)
+val json_of_snapshot : Stats.snapshot -> json
+(** The schema above. *)
 
 val pp_human : Format.formatter -> Stats.snapshot -> unit
 (** Two aligned tables: counters, then spans with call counts and
     total/max wall-clock time. *)
 
-val write_file : ?meta:(string * json) list -> string -> Stats.snapshot -> unit
+val write_file : string -> Stats.snapshot -> unit
 (** Write the JSON rendering (with a trailing newline). *)
 
 val emit :
   ?ppf:Format.formatter ->
   ?human:bool ->
   ?json_file:string ->
-  ?meta:(string * json) list ->
   unit ->
   unit
 (** CLI convenience: snapshot the global registry once, print the

@@ -126,27 +126,10 @@ let dummy =
 let state : sink option ref = ref None
 let active () = !state <> None
 
-(* every domain's buffer, for the final drain at [stop]; guarded by
-   the registry lock below *)
+(* every live domain's buffer, for the final drain at [stop]; guarded
+   by the registry lock below *)
 let locals_lock = Mutex.create ()
 let all_locals : local list ref = ref []
-
-let local_key : local Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let l =
-        {
-          domain = (Domain.self () :> int);
-          ring = Array.make capacity dummy;
-          pending = 0;
-          stack = [];
-        }
-      in
-      Mutex.lock locals_lock;
-      all_locals := l :: !all_locals;
-      Mutex.unlock locals_lock;
-      l)
-
-let local () = Domain.DLS.get local_key
 
 (* caller holds st.lock *)
 let drain_locked st l =
@@ -191,11 +174,6 @@ let push st l e =
   l.pending <- l.pending + 1;
   if l.pending = capacity || st.format = Jsonl then drain st l
 
-let flush () =
-  match !state with
-  | None -> ()
-  | Some st -> drain st (local ())
-
 let now_us st = (Stats.now () -. st.t0) *. 1e6
 
 let end_span st l ~t_us extra =
@@ -212,6 +190,54 @@ let end_span st l ~t_us extra =
         dur_us = dur;
         args = f.f_args @ extra;
       }
+
+(* a worker domain's buffer lives as long as the domain: on exit its
+   open spans close as truncated, its pending events reach the active
+   sink, and it leaves the registry, so a process that spawns a fresh
+   pool per session keeps one ring per live domain, not one per domain
+   ever *)
+let retire l =
+  (match !state with
+  | None -> ()
+  | Some st ->
+    while l.stack <> [] do
+      end_span st l ~t_us:(now_us st) [ ("truncated", Bool true) ]
+    done;
+    drain st l);
+  Mutex.lock locals_lock;
+  all_locals := List.filter (fun x -> x != l) !all_locals;
+  Mutex.unlock locals_lock
+
+let local_key : local Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let l =
+        {
+          domain = (Domain.self () :> int);
+          ring = Array.make capacity dummy;
+          pending = 0;
+          stack = [];
+        }
+      in
+      Mutex.lock locals_lock;
+      all_locals := l :: !all_locals;
+      Mutex.unlock locals_lock;
+      (* the main domain's exit hooks run before the process's at_exit
+         handlers, where [stop] still drains it: keep its buffer *)
+      if not (Domain.is_main_domain ()) then Domain.at_exit (fun () -> retire l);
+      l)
+
+let local () = Domain.DLS.get local_key
+
+let flush () =
+  match !state with
+  | None -> ()
+  | Some st -> drain st (local ())
+
+let registered () =
+  Mutex.lock locals_lock;
+  let n = List.length !all_locals in
+  Mutex.unlock locals_lock;
+  n
 
 let stop () =
   match !state with

@@ -70,6 +70,12 @@ val flush : unit -> unit
 
 val active : unit -> bool
 
+val registered : unit -> int
+(** How many domains hold a ring buffer.  Only live domains do: a
+    worker domain's buffer drains into the active sink (open spans
+    closed as truncated) and leaves the registry when the domain
+    exits. *)
+
 (** {1 Recording} *)
 
 val with_span :

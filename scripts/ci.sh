@@ -152,58 +152,19 @@ for f in examples/*.bench; do
 done
 echo "ci: race determinism ok"
 
-# Portfolio bench: the sequential-vs-portfolio experiment must run to
-# completion and leave its speedup gauges in a baseline-compatible
-# stats snapshot (portfolio.best_speedup_x100 et al).
-timeout 300 dune exec bench/main.exe -- portfolio \
-  --stats-json "$tmpdir/portfolio.json" > /dev/null
-grep -q "portfolio.best_speedup_x100" "$tmpdir/portfolio.json" \
-  || { echo "ci: portfolio speedup gauge missing (FAIL)"; exit 1; }
-timeout 60 dune exec bench/main.exe -- --baseline "$tmpdir/portfolio.json" \
-  --against "$tmpdir/portfolio.json" --fail-on-regress 0.1 > /dev/null \
-  || { echo "ci: portfolio snapshot not baseline-compatible (FAIL)"; exit 1; }
-echo "ci: portfolio bench ok"
-
-# BMC inprocessing gate: run the BMC bench workload (inprocessing on
-# vs off per design) against the committed snapshot.  The threshold is
-# generous — CI machines vary — but a gross slowdown in the solver hot
-# loops or the simplifier fails the pipeline.  The experiment itself
-# also asserts on/off verdict consistency per design.
-timeout 600 dune exec bench/main.exe -- bmc \
-  --baseline BENCH_0001_bmc.json --fail-on-regress 100 --regress-floor 50 \
-  --stats-json "$tmpdir/bmc.json" > "$tmpdir/bmc.out" \
-  || { cat "$tmpdir/bmc.out"; echo "ci: bmc bench regressed (FAIL)"; exit 1; }
-grep -q "consistent=true" "$tmpdir/bmc.out" \
-  || { echo "ci: bmc on/off verdicts inconsistent (FAIL)"; exit 1; }
-grep -q "bmc_bench.conflict_reduction_pct" "$tmpdir/bmc.json" \
-  || { echo "ci: bmc reduction gauge missing (FAIL)"; exit 1; }
-echo "ci: bmc inprocessing gate ok"
-
-# Backend bench gate: the backend-matrix experiment (reference vs bdd
-# vs race per workload) against the committed snapshot.  The
-# experiment asserts cross-backend verdict consistency itself
-# (consistent=true per arm); the baseline turns the racing overhead
-# into a regression gate.
-timeout 600 dune exec bench/main.exe -- backend \
-  --baseline BENCH_0003_backend.json --fail-on-regress 100 --regress-floor 50 \
-  --stats-json "$tmpdir/backend.json" > "$tmpdir/backend.out" \
-  || { cat "$tmpdir/backend.out"; echo "ci: backend bench regressed (FAIL)"; exit 1; }
-grep -q "consistent=false" "$tmpdir/backend.out" \
-  && { cat "$tmpdir/backend.out"; echo "ci: backends disagreed (FAIL)"; exit 1; }
-grep -q "backend_bench.small-cone.race_ms" "$tmpdir/backend.json" \
-  || { echo "ci: backend bench gauges missing (FAIL)"; exit 1; }
-echo "ci: backend bench gate ok"
-
 # Corpus determinism: the corpus walk over examples/ must be
 # byte-identical (stdout is timing-free by design) and report the
 # same exit code for --jobs 1 and --jobs 2.  Any of the contract's
 # exit codes (0 all-ok / 1 finding / 3 inconclusive-only) is fine —
-# the stage tests determinism, not the verdicts.
+# the stage tests determinism, not the verdicts.  The walk's work
+# counts are gated exactly by the test/counts snapshot in dune runtest.
+# Both runs write their stats to one path, so the "written to" line
+# on stdout matches; the per-layer stage below reads the second.
 rc1=0; rc2=0
 timeout 300 dune exec bin/diam_tool.exe -- corpus examples/ --jobs 1 \
-  > "$tmpdir/corpus1.out" || rc1=$?
+  --stats-json "$tmpdir/corpus.json" > "$tmpdir/corpus1.out" || rc1=$?
 timeout 300 dune exec bin/diam_tool.exe -- corpus examples/ --jobs 2 \
-  > "$tmpdir/corpus2.out" || rc2=$?
+  --stats-json "$tmpdir/corpus.json" > "$tmpdir/corpus2.out" || rc2=$?
 case "$rc1" in
   0|1|3) ;;
   *) echo "ci: corpus walk exit $rc1 (FAIL)"; exit 1 ;;
@@ -212,24 +173,9 @@ esac
   || { echo "ci: corpus exit codes differ across --jobs (FAIL)"; exit 1; }
 diff -u "$tmpdir/corpus1.out" "$tmpdir/corpus2.out" \
   || { echo "ci: corpus reports differ across --jobs (FAIL)"; exit 1; }
-echo "ci: corpus determinism ok"
-
-# Corpus snapshot gate: the examples/ corpus stats must stay
-# baseline-compatible with the committed snapshot and within a
-# generous regression threshold.
-rc=0
-timeout 300 dune exec bin/diam_tool.exe -- corpus examples/ \
-  --baseline BENCH_0002_corpus.json --fail-on-regress 100 \
-  --stats-json "$tmpdir/corpus.json" > "$tmpdir/corpus.out" || rc=$?
-case "$rc" in
-  0|1|3) ;;
-  *) cat "$tmpdir/corpus.out"; echo "ci: corpus gate exit $rc (FAIL)"; exit 1 ;;
-esac
-grep -q "REGRESSION" "$tmpdir/corpus.out" \
-  && { cat "$tmpdir/corpus.out"; echo "ci: corpus regressed (FAIL)"; exit 1; }
 grep -q '"corpus.files"' "$tmpdir/corpus.json" \
   || { echo "ci: corpus tallies missing from snapshot (FAIL)"; exit 1; }
-echo "ci: corpus snapshot gate ok"
+echo "ci: corpus determinism ok"
 
 # One aggregate row per layer: per-depth BMC and per-file corpus detail
 # rides on trace attributes, never in span names, so neither a verify
@@ -430,13 +376,14 @@ grep -q '# TYPE diambound_' "$tmpdir/metrics.out" \
   || { echo "ci: metrics op exposition malformed (FAIL)"; exit 1; }
 echo "ci: telemetry smoke ok"
 
-# Self-baseline: a snapshot diffed against itself is compatible by
-# construction and must show zero regressions at any threshold.
-timeout 300 dune exec bench/main.exe -- baseline \
-  --stats-json "$tmpdir/bench.json" > /dev/null
-timeout 60 dune exec bench/main.exe -- --baseline "$tmpdir/bench.json" \
-  --against "$tmpdir/bench.json" --fail-on-regress 0.1 > /dev/null \
-  || { echo "ci: self-baseline regressed (FAIL)"; exit 1; }
-echo "ci: self-baseline ok"
+# Bench smoke: the paper-reproduction harness still runs; its cheapest
+# experiment, the B1 recurrence-diameter comparison, prints its table.
+timeout 300 dune exec bench/main.exe -- baseline > "$tmpdir/bench.out" \
+  || { cat "$tmpdir/bench.out"; echo "ci: bench baseline run failed (FAIL)"; exit 1; }
+grep -q "structural bound \[7\] vs recurrence diameter" "$tmpdir/bench.out" \
+  || { cat "$tmpdir/bench.out"; echo "ci: bench B1 table missing (FAIL)"; exit 1; }
+grep -q "^lfsr4 " "$tmpdir/bench.out" \
+  || { cat "$tmpdir/bench.out"; echo "ci: bench B1 table incomplete (FAIL)"; exit 1; }
+echo "ci: bench smoke ok"
 
 echo "ci: all green"

@@ -17,7 +17,6 @@ let () =
       ("stats", Test_stats.suite);
       ("log", Test_log.suite);
       ("trace", Test_trace.suite);
-      ("baseline", Test_baseline.suite);
       ("budget", Test_budget.suite);
       ("bdd", Test_bdd.suite);
       ("textio", Test_textio.suite);

@@ -333,6 +333,30 @@ let test_multi_domain_capture () =
     (fun e -> Helpers.check_int "main stays domain 0" 0 (domain_of e))
     (by_name "main")
 
+let test_exited_domains_leave_registry () =
+  (* one domain after another, each recording once under an active
+     trace: every event reaches the sink, and the registry keeps a
+     buffer per live domain only, not one per domain ever spawned *)
+  let n = 64 in
+  let events, before, after =
+    with_tmp (fun path ->
+        Trace.start ~format:Trace.Jsonl path;
+        Obs.span "t.main" (fun () -> ());
+        let before = Trace.registered () in
+        for i = 1 to n do
+          Domain.join
+            (Domain.spawn (fun () ->
+                 Obs.span ~args:[ ("i", Trace.Int i) ] "t.exited" (fun () -> ())))
+        done;
+        let after = Trace.registered () in
+        Trace.stop ();
+        (Trace.read_file path, before, after))
+  in
+  Helpers.check_int "every exited domain's event read back" n
+    (List.length
+       (List.filter (fun (e : Trace.event) -> e.Trace.name = "t.exited") events));
+  Helpers.check_bool "exited domains left the registry" true (after <= before)
+
 let test_corr_attr_attached () =
   (* spans emitted under a correlation context carry the "corr"
      attribute, without any caller plumbing *)
@@ -474,6 +498,8 @@ let suite =
     Alcotest.test_case "depth table" `Quick test_depth_table;
     Alcotest.test_case "multi-domain capture" `Quick
       test_multi_domain_capture;
+    Alcotest.test_case "exited domains leave the registry" `Quick
+      test_exited_domains_leave_registry;
     Alcotest.test_case "corr attr attaches under with_corr" `Quick
       test_corr_attr_attached;
     Alcotest.test_case "truncated jsonl tail tolerated" `Quick
