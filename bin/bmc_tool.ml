@@ -65,12 +65,7 @@ let run_all net certify budget jobs complete depth =
   else if !unknown > 0 then Cli.inconclusive
   else Cli.ok
 
-let run file target depth complete certify proof vcd budget jobs stats
-    stats_json trace log_level log_file no_inprocess backend =
-  Cli.setup_trace trace;
-  Cli.setup_log log_level log_file;
-  Cli.apply_inprocess no_inprocess;
-  Cli.apply_backend backend;
+let run file target depth complete certify proof vcd budget jobs stats () =
   let net = Cli.load_bench file in
   let certify = certify || proof <> None in
   if jobs > 1 && target = None then begin
@@ -79,7 +74,7 @@ let run file target depth complete certify proof vcd budget jobs stats
     if Net.targets net = [] then
       Cli.die Cli.usage_error "netlist has no targets";
     let code = run_all net certify budget jobs complete depth in
-    Obs.Report.emit ~human:stats ?json_file:stats_json ();
+    Cli.emit_stats stats;
     code
   end
   else
@@ -104,9 +99,7 @@ let run file target depth complete certify proof vcd budget jobs stats
     end
     else depth
   in
-  let finish () =
-    Obs.Report.emit ~human:stats ?json_file:stats_json ()
-  in
+  let finish () = Cli.emit_stats stats in
   let cert = if certify then Some (Bmc.new_cert ()) else None in
   let dump_proof () =
     match (proof, cert) with
@@ -211,8 +204,6 @@ let cmd =
     (Cmd.info "bmc-check" ~doc)
     Term.(
       const run $ file $ target $ depth $ complete $ Cli.certify
-      $ Cli.proof_file $ vcd $ Cli.budget $ Cli.jobs $ Cli.stats
-      $ Cli.stats_json $ Cli.trace $ Cli.log_level $ Cli.log_file
-      $ Cli.no_inprocess $ Cli.backend)
+      $ Cli.proof_file $ vcd $ Cli.budget $ Cli.jobs $ Cli.stats $ Cli.setup)
 
 let () = exit (Cli.main cmd)

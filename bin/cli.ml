@@ -1,6 +1,7 @@
 (* Shared plumbing for the four command-line tools: the exit-code
    contract, the top-level exception barrier, the parse-error
-   renderer, and the resource-budget flags.
+   renderer, the resource-budget flags, and the setup and stats
+   terms.
 
    Exit-code contract (all tools):
 
@@ -182,10 +183,6 @@ let trace =
               and survives crashes.  Also enabled by the DIAMBOUND_TRACE \
               environment variable; inspect with $(b,diam trace-report)")
 
-(* call before any instrumented work: --trace FILE, falling back to
-   DIAMBOUND_TRACE; the sink closes itself at process exit *)
-let setup_trace file = Obs.Trace.setup ?file ()
-
 let log_level =
   let env =
     Cmd.Env.info "DIAMBOUND_LOG"
@@ -209,22 +206,41 @@ let log_file =
         ~doc:"Route structured log lines to $(docv) (truncated) instead of \
               stderr")
 
-(* call before any instrumented work, like [setup_trace]; an explicit
-   flag wins, otherwise DIAMBOUND_LOG applies (via the flag's env) *)
-let setup_log level file = Obs.Log.setup ?level ?file ()
+(* The five setup flags every tool takes.  Evaluating the term does
+   the setup — trace sink (--trace, else DIAMBOUND_TRACE; it closes
+   itself at process exit), log sink, inprocessing and backend
+   defaults — so a tool puts it LAST in its term: every other flag has
+   parsed by then, and the tool's body creates no solver before it. *)
+let setup =
+  let apply trace log_level log_file no_inprocess backend =
+    Obs.Trace.setup ?file:trace ();
+    Obs.Log.setup ?level:log_level ?file:log_file ();
+    apply_inprocess no_inprocess;
+    apply_backend backend
+  in
+  Term.(const apply $ trace $ log_level $ log_file $ no_inprocess $ backend)
 
+(* --stats and --stats-json, as the pair [emit_stats] reports after
+   the run *)
 let stats =
-  Arg.(
-    value & flag
-    & info [ "stats" ]
-        ~doc:"Print the observability counters and timing spans after the run")
+  let human =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:"Print the observability counters and timing spans after \
+                the run")
+  in
+  let json_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "stats-json" ] ~docv:"FILE"
+          ~doc:"Write the observability snapshot as JSON to $(docv)")
+  in
+  Term.(const (fun h j -> (h, j)) $ human $ json_file)
 
-let stats_json =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "stats-json" ] ~docv:"FILE"
-        ~doc:"Write the observability snapshot as JSON to $(docv)")
+let emit_stats ?ppf (human, json_file) =
+  Obs.Report.emit ?ppf ~human ?json_file ()
 
 (* the single exception barrier: every tool's [main] funnels through
    here, so no input however malformed produces a raw backtrace *)

@@ -24,12 +24,7 @@ let load file design =
   | None, None ->
     Cli.die Cli.usage_error "no input: give a .bench file or --design NAME"
 
-let run file design pipeline cutoff recurrence budget jobs stats stats_json
-    trace log_level log_file no_inprocess backend =
-  Cli.setup_trace trace;
-  Cli.setup_log log_level log_file;
-  Cli.apply_inprocess no_inprocess;
-  Cli.apply_backend backend;
+let run file design pipeline cutoff recurrence budget jobs stats () =
   let net = load file design in
   Format.printf "netlist: %a@." Net.pp_stats net;
   let report =
@@ -77,7 +72,7 @@ let run file design pipeline cutoff recurrence budget jobs stats stats_json
   let s = Core.Pipeline.summarize ~cutoff report in
   Format.printf "targets below cutoff %d: %d/%d (avg %.1f)@." cutoff
     s.Core.Pipeline.proved_small s.Core.Pipeline.total s.Core.Pipeline.average;
-  Obs.Report.emit ~human:stats ?json_file:stats_json ();
+  Cli.emit_stats stats;
   Cli.ok
 
 open Cmdliner
@@ -147,11 +142,7 @@ let cache_mb =
    Verdict lines print in input order; each problem gets a fresh
    budget sliced from the --timeout/--conflicts/--bdd-nodes spec. *)
 let run_batch files cutoff certify budget_spec jobs queue_limit cache_mb stats
-    stats_json trace log_level log_file no_inprocess backend =
-  Cli.setup_trace trace;
-  Cli.setup_log log_level log_file;
-  Cli.apply_inprocess no_inprocess;
-  Cli.apply_backend backend;
+    () =
   let problems =
     List.concat_map
       (fun file ->
@@ -203,7 +194,7 @@ let run_batch files cutoff certify budget_spec jobs queue_limit cache_mb stats
         Format.printf "%s:%-24s error %s: %s@." file t code detail;
         incr errors)
     problems outcomes;
-  Obs.Report.emit ~human:stats ?json_file:stats_json ();
+  Cli.emit_stats stats;
   if !violated > 0 then Cli.violated
   else if !errors > 0 then Cli.internal_error
   else if !inconclusive > 0 then Cli.inconclusive
@@ -231,19 +222,12 @@ let batch_cmd =
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
       const run_batch $ files $ cutoff $ Cli.certify $ Cli.budget_spec
-      $ Cli.jobs $ queue_limit $ cache_mb $ Cli.stats $ Cli.stats_json
-      $ Cli.trace $ Cli.log_level $ Cli.log_file $ Cli.no_inprocess
-      $ Cli.backend)
+      $ Cli.jobs $ queue_limit $ cache_mb $ Cli.stats $ Cli.setup)
 
 (* ----- serve: the long-lived JSONL verification service ----- *)
 
 let run_serve socket jobs queue_limit cache_mb chaos_seed stall_window
-    flight_recorder metrics_interval stats stats_json trace log_level log_file
-    no_inprocess backend =
-  Cli.setup_trace trace;
-  Cli.setup_log log_level log_file;
-  Cli.apply_inprocess no_inprocess;
-  Cli.apply_backend backend;
+    flight_recorder metrics_interval stats () =
   (* arming the watchdog without naming a sink still records flights *)
   let flight_path =
     match (flight_recorder, stall_window) with
@@ -269,8 +253,7 @@ let run_serve socket jobs queue_limit cache_mb chaos_seed stall_window
   in
   (* stats go to stderr: serve's stdout is the JSONL response stream
      and must stay byte-identical to the protocol (CI diffs it) *)
-  Obs.Report.emit ~ppf:Format.err_formatter ~human:stats ?json_file:stats_json
-    ();
+  Cli.emit_stats ~ppf:Format.err_formatter stats;
   code
 
 let serve_cmd =
@@ -352,20 +335,14 @@ let serve_cmd =
     Term.(
       const run_serve $ socket $ Cli.jobs $ queue_limit $ cache_mb
       $ chaos_seed $ stall_window $ flight_recorder $ metrics_interval
-      $ Cli.stats $ Cli.stats_json $ Cli.trace $ Cli.log_level $ Cli.log_file
-      $ Cli.no_inprocess $ Cli.backend)
+      $ Cli.stats $ Cli.setup)
 
 (* ----- corpus: walk a problem tree under a per-problem barrier ----- *)
 
 (* Output discipline: stdout carries no timings, so the report is
    byte-identical across --jobs values (CI diffs jobs 1 vs 2); timing
    lives in --stats/--stats-json. *)
-let run_corpus dir cutoff certify budget_spec jobs stats stats_json trace
-    log_level log_file no_inprocess backend =
-  Cli.setup_trace trace;
-  Cli.setup_log log_level log_file;
-  Cli.apply_inprocess no_inprocess;
-  Cli.apply_backend backend;
+let run_corpus dir cutoff certify budget_spec jobs stats () =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Cli.die Cli.usage_error "%s: not a directory" dir;
   let paths = Campaign.Corpus.walk dir in
@@ -389,7 +366,7 @@ let run_corpus dir cutoff certify budget_spec jobs stats stats_json trace
     summary.Campaign.Corpus.proved summary.Campaign.Corpus.violated
     summary.Campaign.Corpus.timeout summary.Campaign.Corpus.inconclusive
     summary.Campaign.Corpus.malformed summary.Campaign.Corpus.crashed;
-  Obs.Report.emit ~human:stats ?json_file:stats_json ();
+  Cli.emit_stats stats;
   Campaign.Corpus.exit_code summary
 
 let corpus_cmd =
@@ -415,17 +392,11 @@ let corpus_cmd =
   Cmd.v (Cmd.info "corpus" ~doc)
     Term.(
       const run_corpus $ dir $ cutoff $ Cli.certify $ Cli.budget_spec
-      $ Cli.jobs $ Cli.stats $ Cli.stats_json $ Cli.trace $ Cli.log_level
-      $ Cli.log_file $ Cli.no_inprocess $ Cli.backend)
+      $ Cli.jobs $ Cli.stats $ Cli.setup)
 
 (* ----- fuzz: the adversarial differential campaign ----- *)
 
-let run_fuzz count seed jobs repro_dir stats stats_json trace log_level
-    log_file no_inprocess backend =
-  Cli.setup_trace trace;
-  Cli.setup_log log_level log_file;
-  Cli.apply_inprocess no_inprocess;
-  Cli.apply_backend backend;
+let run_fuzz count seed jobs repro_dir stats () =
   if count <= 0 then Cli.die Cli.usage_error "--count must be positive";
   let report = Campaign.Hunt.run ~jobs ?repro_dir ~seed ~count () in
   List.iter
@@ -461,7 +432,7 @@ let run_fuzz count seed jobs repro_dir stats stats_json trace log_level
   Format.printf "fuzz: %d cases, %d findings (seed %d)@."
     report.Campaign.Hunt.count report.Campaign.Hunt.findings
     report.Campaign.Hunt.seed;
-  Obs.Report.emit ~human:stats ?json_file:stats_json ();
+  Cli.emit_stats stats;
   if report.Campaign.Hunt.findings > 0 then Cli.violated else Cli.ok
 
 let fuzz_cmd =
@@ -502,8 +473,7 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const run_fuzz $ count $ seed $ Cli.jobs $ repro_dir $ Cli.stats
-      $ Cli.stats_json $ Cli.trace $ Cli.log_level $ Cli.log_file
-      $ Cli.no_inprocess $ Cli.backend)
+      $ Cli.setup)
 
 (* ----- sat: a SAT-competition front door to the reference solver -----
 
@@ -616,8 +586,7 @@ let main_cmd =
   Cmd.v (Cmd.info "diam" ~doc)
     Term.(
       const run $ file $ design $ pipeline $ cutoff $ recurrence $ Cli.budget
-      $ Cli.jobs $ Cli.stats $ Cli.stats_json $ Cli.trace $ Cli.log_level
-      $ Cli.log_file $ Cli.no_inprocess $ Cli.backend)
+      $ Cli.jobs $ Cli.stats $ Cli.setup)
 
 (* a subcommand can't coexist with a default term taking positional
    args in one cmdliner group (FILE would parse as a command name), so

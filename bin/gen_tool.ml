@@ -45,12 +45,7 @@ let run_all dir jobs =
     results;
   if !failed > 0 then Cli.usage_error else Cli.ok
 
-let run design output list_them all jobs trace log_level log_file no_inprocess
-    backend =
-  Cli.setup_trace trace;
-  Cli.setup_log log_level log_file;
-  Cli.apply_inprocess no_inprocess;
-  Cli.apply_backend backend;
+let run design output list_them all jobs () =
   if list_them then begin
     Format.printf "ISCAS89-like (Table 1):@.";
     List.iter (Format.printf "  %s@.") Workload.Iscas.names;
@@ -122,7 +117,6 @@ let cmd =
   Cmd.v
     (Cmd.info "diam-gen" ~doc)
     Term.(
-      const run $ design $ output $ list_them $ all $ Cli.jobs $ Cli.trace
-      $ Cli.log_level $ Cli.log_file $ Cli.no_inprocess $ Cli.backend)
+      const run $ design $ output $ list_them $ all $ Cli.jobs $ Cli.setup)
 
 let () = exit (Cli.main cmd)

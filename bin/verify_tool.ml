@@ -7,12 +7,7 @@
 
 module Net = Netlist.Net
 
-let run file target cutoff certify proof vcd budget jobs stats stats_json trace
-    log_level log_file no_inprocess backend =
-  Cli.setup_trace trace;
-  Cli.setup_log log_level log_file;
-  Cli.apply_inprocess no_inprocess;
-  Cli.apply_backend backend;
+let run file target cutoff certify proof vcd budget jobs stats () =
   let net = Cli.load_bench file in
   let certify = certify || proof <> None in
   let targets =
@@ -71,7 +66,7 @@ let run file target cutoff certify proof vcd budget jobs stats stats_json trace
       | Core.Engine.Proved _ -> ()
       | Core.Engine.Inconclusive _ -> incr inconclusive)
     targets;
-  Obs.Report.emit ~human:stats ?json_file:stats_json ();
+  Cli.emit_stats stats;
   if !violated > 0 then Cli.violated
   else if !inconclusive > 0 then Cli.inconclusive
   else Cli.ok
@@ -107,7 +102,6 @@ let cmd =
     (Cmd.info "diam-verify" ~doc)
     Term.(
       const run $ file $ target $ cutoff $ Cli.certify $ Cli.proof_file $ vcd
-      $ Cli.budget $ Cli.jobs $ Cli.stats $ Cli.stats_json $ Cli.trace
-      $ Cli.log_level $ Cli.log_file $ Cli.no_inprocess $ Cli.backend)
+      $ Cli.budget $ Cli.jobs $ Cli.stats $ Cli.setup)
 
 let () = exit (Cli.main cmd)

@@ -616,7 +616,9 @@ let default () =
       | Error _ -> Single (reference ()))
     | _ -> Single (reference ()))
 
-let default_solver () =
-  match backends (default ()) with
-  | b :: _ -> instantiate b
-  | [] -> reference_solver ()
+let solver_of = function
+  | Some b -> instantiate b
+  | None -> (
+    match backends (default ()) with
+    | b :: _ -> instantiate b
+    | [] -> reference_solver ())

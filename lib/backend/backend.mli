@@ -246,7 +246,8 @@ val default : unit -> spec
     [DIAMBOUND_BACKEND] (a bad value falls back to the reference
     backend), else [Single (reference ())]. *)
 
-val default_solver : unit -> solver
-(** A solver from the first backend of {!default} — what plain
+val solver_of : t option -> solver
+(** [solver_of (Some b)] is [instantiate b]; [solver_of None] is a
+    solver from the first backend of {!default} — what plain
     [Bmc.check] and friends use when no backend is passed
     explicitly. *)

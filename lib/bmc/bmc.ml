@@ -24,11 +24,7 @@ type cert = {
 let new_cert () = { proof = Sat.Proof.create (); goals = [] }
 
 let check_lit ?(from = 0) ?budget ?cert ?backend net target ~depth =
-  let solver =
-    match backend with
-    | Some b -> Backend.instantiate b
-    | None -> Backend.default_solver ()
-  in
+  let solver = Backend.solver_of backend in
   (* attach before [Unroll.create]: the unroller emits clauses *)
   Option.iter (fun c -> Solver.set_proof solver c.proof) cert;
   let unroll = Encode.Unroll.create solver net in

@@ -120,7 +120,7 @@ let run_case ~oracle_jobs ~mk_budget ~repro_dir ~seed i =
                   (fun (c : Oracle.cell) ->
                     ( t ^ "/" ^ c.Oracle.cell,
                       match c.Oracle.outcome with
-                      | Ok v -> Oracle.verdict_brief v
+                      | Ok v -> Core.Engine.verdict_brief v
                       | Error e -> "CRASH(" ^ e ^ ")" ))
                   cells
               in

@@ -50,23 +50,10 @@ let config =
     enlargement_reg_limit = 12;
   }
 
-(* A compact, timing-free rendering: agreement is decided on (and
-   reports printed from) everything but wall-clock. *)
-let verdict_brief = function
-  | Engine.Proved { strategy; depth } ->
-    Printf.sprintf "PROVED(%s,depth=%d)" strategy depth
-  | Engine.Violated { strategy; cex } ->
-    Printf.sprintf "VIOLATED(%s,t=%d)" strategy cex.Bmc.depth
-  | Engine.Inconclusive { attempts } ->
-    Printf.sprintf "INCONCLUSIVE(%s)"
-      (String.concat ";"
-         (List.map
-            (fun (a : Engine.attempt) -> a.Engine.strategy ^ "=" ^ a.Engine.reason)
-            attempts))
-
 (* exact agreement modulo timing: strategy and depth/time must match,
    and inconclusive attempt logs must match reason-for-reason *)
-let agree a b = String.equal (verdict_brief a) (verdict_brief b)
+let agree a b =
+  String.equal (Engine.verdict_brief a) (Engine.verdict_brief b)
 
 type cell = {
   cell : string;
@@ -148,7 +135,8 @@ let check ~target cells =
         (match v with
         | Engine.Proved _ | Engine.Violated _ ->
           note "oracle.budget_violations"
-            (Budget_violation { cell = c.cell; verdict = verdict_brief v })
+            (Budget_violation
+               { cell = c.cell; verdict = Engine.verdict_brief v })
         | Engine.Inconclusive _ -> ())
       | Ok v -> (
         match Engine.cert_failed v with
@@ -176,9 +164,9 @@ let check ~target cells =
             (Disagreement
                {
                  cell_a = ref_cell;
-                 verdict_a = verdict_brief ref_v;
+                 verdict_a = Engine.verdict_brief ref_v;
                  cell_b = cell;
-                 verdict_b = verdict_brief v;
+                 verdict_b = Engine.verdict_brief v;
                }))
       rest);
   (* one finding per (target, kind): three cells failing certification

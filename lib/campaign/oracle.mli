@@ -34,10 +34,6 @@ val config : Core.Engine.config
     concludes, making any disagreement a bug rather than a tuning
     artifact. *)
 
-val verdict_brief : Core.Engine.verdict -> string
-(** Timing-free one-line rendering; two verdicts agree iff their
-    briefs are equal (strategy + depth/time + attempt reasons). *)
-
 type cell = {
   cell : string;  (** "ladder" | "ladder-noinproc" | "portfolio" | "expired-budget" *)
   outcome : (Core.Engine.verdict, string) result;

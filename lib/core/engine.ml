@@ -58,6 +58,18 @@ let pp_verdict ppf = function
         Format.fprintf ppf " (%.1fms)" (1e3 *. a.elapsed_s))
       attempts
 
+(* compact and timing-free: runs agree modulo wall clock iff their
+   briefs are equal *)
+let verdict_brief = function
+  | Proved { strategy; depth } ->
+    Printf.sprintf "PROVED(%s,depth=%d)" strategy depth
+  | Violated { strategy; cex } ->
+    Printf.sprintf "VIOLATED(%s,t=%d)" strategy cex.Bmc.depth
+  | Inconclusive { attempts } ->
+    Printf.sprintf "INCONCLUSIVE(%s)"
+      (String.concat ";"
+         (List.map (fun a -> a.strategy ^ "=" ^ a.reason) attempts))
+
 let discharge_depth bound =
   if Sat_bound.is_huge bound || bound <= 0 then None else Some (bound - 1)
 
@@ -107,15 +119,31 @@ type callbacks = {
 
 type strategy = string * (callbacks -> unit)
 
-(* Run one strategy under [slice], collecting its verdict (if any) and
-   the attempts it recorded.  The [Done] unwind never escapes: the
-   portfolio path must not have exceptions crossing domain boundaries,
-   and the sequential path decides itself when to stop. *)
-let run_strategy ~config ~certify ~proof_sink ~backend ~slice net ~target
+(* one cell's outcome: its verdict if conclusive, the attempts it
+   recorded, the proofs it sank (buffered until selection) and the
+   bound it reached, under the cell's name for the cache *)
+type cell_result = {
+  won : verdict option;
+  atts : attempt list;
+  proofs : Sat.Proof.t list;
+  name : string;
+  bound : Sat_bound.t option;
+}
+
+(* Run one strategy under [slice].  The [Done] unwind never escapes:
+   a pool executor must not have exceptions crossing domain
+   boundaries, and the in-domain executor decides itself when to
+   stop.  With [keep_proofs] the proofs it would sink are buffered in
+   order, for replay only if this cell is selected. *)
+let run_strategy ~config ~certify ~keep_proofs ~backend ~slice net ~target
     ~tlit ((name, body) : strategy) =
   let t0 = Stats.now () in
   let attempts = ref [] in
   let bound_seen = ref None in
+  let proofs = ref [] in
+  let proof_sink =
+    if keep_proofs then Some (fun p -> proofs := p :: !proofs) else None
+  in
   let stand_down reason =
     if String.equal reason budget_reason then begin
       Stats.count "engine.budget_exhausted" 1;
@@ -255,7 +283,13 @@ let run_strategy ~config ~certify ~proof_sink ~backend ~slice net ~target
       won
     end
   in
-  (verdict, List.rev !attempts, !bound_seen)
+  {
+    won = verdict;
+    atts = List.rev !attempts;
+    proofs = List.rev !proofs;
+    name;
+    bound = !bound_seen;
+  }
 
 (* ----- the strategy ladder -----
 
@@ -273,6 +307,35 @@ let ladder ~config ~backend ~suffix net ~target ~tlit ~rv : strategy list =
      and cache keys while the default single-backend output stays
      byte-identical *)
   let cell base = base ^ suffix in
+  (* the target's literal in the register view, for the rungs that
+     bound it there directly *)
+  let on_reg_view cb k =
+    let reg_view, fold = Lazy.force rv in
+    match List.assoc_opt target (Net.targets reg_view) with
+    | None -> cb.stand_down "target lost by phase abstraction"
+    | Some l -> k reg_view fold l
+  in
+  (* a transformation pipeline on the register view, its bound
+     translated back through the pipeline and then the phase fold *)
+  let pipeline_rung
+      (run :
+        ?budget:Obs.Budget.t -> ?inprocess:bool -> Net.t -> Pipeline.report)
+      cb =
+    let reg_view, fold = Lazy.force rv in
+    let report =
+      run ~budget:cb.sbudget ?inprocess:backend.Backend.b_inprocess reg_view
+    in
+    match
+      List.find_opt
+        (fun t -> String.equal t.Pipeline.target target)
+        report.Pipeline.targets
+    with
+    | Some t ->
+      cb.discharge
+        ~translator:(Translate.compose fold t.Pipeline.translator)
+        t.Pipeline.raw_bound
+    | None -> cb.stand_down "target reduced away"
+  in
   [
     (* 1. shallow probe *)
     ( cell "bmc-probe",
@@ -281,48 +344,13 @@ let ladder ~config ~backend ~suffix net ~target ~tlit ~rv : strategy list =
     (* 2. structural bound, untransformed *)
     ( cell "structural-bound",
       fun cb ->
-        let reg_view, fold = Lazy.force rv in
-        match List.assoc_opt target (Net.targets reg_view) with
-        | None -> cb.stand_down "target lost by phase abstraction"
-        | Some l ->
-          cb.discharge ~translator:fold (Bound.target reg_view l).Bound.bound
+        on_reg_view cb (fun reg_view fold l ->
+            cb.discharge ~translator:fold (Bound.target reg_view l).Bound.bound)
     );
     (* 3. COM (Theorem 1) *)
-    ( cell "com+bound",
-      fun cb ->
-        let reg_view, fold = Lazy.force rv in
-        let com_report =
-          Pipeline.com ~budget:cb.sbudget
-            ?inprocess:backend.Backend.b_inprocess reg_view
-        in
-        match
-          List.find_opt
-            (fun t -> String.equal t.Pipeline.target target)
-            com_report.Pipeline.targets
-        with
-        | Some t ->
-          cb.discharge
-            ~translator:(Translate.compose fold t.Pipeline.translator)
-            t.Pipeline.raw_bound
-        | None -> cb.stand_down "target reduced away" );
+    (cell "com+bound", pipeline_rung Pipeline.com);
     (* 4. COM,RET,COM (Theorems 1 + 2) *)
-    ( cell "com-ret-com+bound",
-      fun cb ->
-        let reg_view, fold = Lazy.force rv in
-        let crc_report =
-          Pipeline.com_ret_com ~budget:cb.sbudget
-            ?inprocess:backend.Backend.b_inprocess reg_view
-        in
-        match
-          List.find_opt
-            (fun t -> String.equal t.Pipeline.target target)
-            crc_report.Pipeline.targets
-        with
-        | Some t ->
-          cb.discharge
-            ~translator:(Translate.compose fold t.Pipeline.translator)
-            t.Pipeline.raw_bound
-        | None -> cb.stand_down "target reduced away" );
+    (cell "com-ret-com+bound", pipeline_rung Pipeline.com_ret_com);
     (* 5. target enlargement (Theorem 4) — register view only, and the
        hittability bound is still a valid completeness threshold for
        this very target *)
@@ -362,27 +390,25 @@ let ladder ~config ~backend ~suffix net ~target ~tlit ~rv : strategy list =
     (* 6. bounded-COI recurrence diameter *)
     ( cell "recurrence-bcoi",
       fun cb ->
-        let reg_view, fold = Lazy.force rv in
-        match List.assoc_opt target (Net.targets reg_view) with
-        | None -> cb.stand_down "target lost by phase abstraction"
-        | Some l ->
-          let rcert =
-            if cb.certifying then Some (Recurrence.new_cert ()) else None
-          in
-          let r =
-            Recurrence.compute ~limit:config.recurrence_limit ~bounded_coi:true
-              ~budget:cb.sbudget ?cert:rcert ~backend reg_view l
-          in
-          if r.Recurrence.exhausted then
-            cb.stand_down
-              (Option.value ~default:budget_reason r.Recurrence.why)
-          else
-            let pre () =
-              match rcert with
-              | Some c -> Certify.check_recurrence c
-              | None -> Ok ()
+        on_reg_view cb (fun reg_view fold l ->
+            let rcert =
+              if cb.certifying then Some (Recurrence.new_cert ()) else None
             in
-            cb.discharge ~translator:fold ~pre r.Recurrence.bound );
+            let r =
+              Recurrence.compute ~limit:config.recurrence_limit
+                ~bounded_coi:true ~budget:cb.sbudget ?cert:rcert ~backend
+                reg_view l
+            in
+            if r.Recurrence.exhausted then
+              cb.stand_down
+                (Option.value ~default:budget_reason r.Recurrence.why)
+            else
+              let pre () =
+                match rcert with
+                | Some c -> Certify.check_recurrence c
+                | None -> Ok ()
+              in
+              cb.discharge ~translator:fold ~pre r.Recurrence.bound) );
     (* 7. temporal induction *)
     ( cell "k-induction",
       fun cb ->
@@ -420,17 +446,10 @@ let ladder ~config ~backend ~suffix net ~target ~tlit ~rv : strategy list =
         end );
   ]
 
-(* ----- drivers ----- *)
-
 let check_target net target =
-  if not (List.mem_assoc target (Net.targets net)) then
-    invalid_arg ("Engine.verify: unknown target " ^ target);
-  List.assoc target (Net.targets net)
-
-let reg_view_of net =
-  lazy
-    (if Net.num_latches net > 0 then Pipeline.phase_front net
-     else (net, Translate.identity))
+  match List.assoc_opt target (Net.targets net) with
+  | Some l -> l
+  | None -> invalid_arg ("Engine.verify: unknown target " ^ target)
 
 (* ----- the (strategy x backend) cell grid -----
 
@@ -464,15 +483,7 @@ let cells ~config net ~target ~tlit ~rv : (Backend.t * strategy) list =
     bs
   |> transpose |> List.concat
 
-(* engine.verify stays a trace-only span: an aggregate row under
-   "engine." would be counted as a strategy attempt *)
-let verdict_arg v = [ ("verdict", Obs.Trace.String (outcome_name v)) ]
-
-let count_verdict verdict =
-  match verdict with
-  | Proved _ -> Stats.count "engine.proved" 1
-  | Violated _ -> Stats.count "engine.violated" 1
-  | Inconclusive _ -> Stats.count "engine.inconclusive" 1
+let count_verdict v = Stats.count ("engine." ^ outcome_name v) 1
 
 (* ----- the bound cache hooks -----
 
@@ -510,149 +521,117 @@ let store_bound bcache ~certify verdict name bound =
     Bcache.add cache (kp ^ name) (Bcache.Bound { strategy = name; raw })
   | _ -> ()
 
-let verify ?(config = default) ?(budget = Obs.Budget.unlimited)
-    ?(certify = false) ?proof_sink ?bcache net ~target =
+(* ----- the grid runner -----
+
+   One body runs every verification: check the target, build and seed
+   the cell grid, run the cells through an executor, then select the
+   LOWEST-ranked conclusive cell, replay only its proofs and store only
+   its bound.  Each cell sinks its proofs into its own buffer, so the
+   caller's sink never observes a cell that was not selected.  The
+   executors differ only in scheduling:
+
+   - [In_domain] runs the cells in rank order on the calling domain,
+     each on an equal slice of the wall clock remaining, and stops at
+     the first conclusive one, so the phase abstraction stays lazy.
+   - [On_pool] races every cell on a worker pool, each with the WHOLE
+     remaining budget plus its rank's cancellation token; a conclusive
+     cell at rank k cancels only the ranks above k, whose outcome can
+     no longer be selected (the backends' solve loops all poll
+     [should_stop], so BDD and external cells cancel too).
+
+   Selection by rank, never by arrival, makes both executors pick the
+   same cell: on the pool every lower-ranked cell ran uncancelled to
+   completion and was inconclusive, exactly as in rank order. *)
+
+type executor = In_domain | On_pool of Sched.Pool.t
+
+let run_grid exec ~config ~budget ~certify ~proof_sink ~bcache net ~target =
   let tlit = check_target net target in
   (* a proof sink only ever receives certified proofs *)
   let certify = certify || proof_sink <> None in
-  let rv = reg_view_of net in
-  let grid = seed_strategies bcache (cells ~config net ~target ~tlit ~rv) in
-  let attempts = ref [] in
-  let remaining = ref (List.length grid) in
-  let run_ladder () =
-    try
-      List.iter
-        (fun (backend, s) ->
-          (* Deadlines degrade gracefully: every cell gets an equal
-             slice of whatever wall-clock remains (so an early
-             strategy overrunning only squeezes, never starves, the
-             later ones — [slice] clamps an overdrawn remainder, and
-             [run_strategy] records a budget attempt on a dead slice
-             rather than skipping). *)
-          let slice = Obs.Budget.slice budget ~ways:(max 1 !remaining) in
-          let verdict, atts, bound =
-            run_strategy ~config ~certify ~proof_sink ~backend ~slice net
-              ~target ~tlit s
-          in
-          attempts := !attempts @ atts;
-          decr remaining;
-          match verdict with
-          | Some v ->
-            store_bound bcache ~certify v (fst s) bound;
-            raise (Done v)
-          | None -> ())
-        grid;
-      Inconclusive { attempts = !attempts }
-    with Done v -> v
+  let rv =
+    lazy
+      (if Net.num_latches net > 0 then Pipeline.phase_front net
+       else (net, Translate.identity))
   in
+  (* seeding happens here, on the calling domain: workers never touch
+     the cache, so the seeded grid is the same for every executor *)
+  let grid = seed_strategies bcache (cells ~config net ~target ~tlit ~rv) in
+  let run_cell ~slice (backend, s) =
+    run_strategy ~config ~certify ~keep_proofs:(proof_sink <> None) ~backend
+      ~slice net ~target ~tlit s
+  in
+  let rec in_domain ways = function
+    | [] -> []
+    | c :: rest ->
+      (* an overrunning cell only squeezes, never starves, the later
+         ones: [slice] clamps an overdrawn remainder, and
+         [run_strategy] records a budget attempt on a dead slice *)
+      let r = run_cell ~slice:(Obs.Budget.slice budget ~ways) c in
+      if r.won <> None then [ r ] else r :: in_domain (ways - 1) rest
+  in
+  let on_pool pool =
+    (* force before sharing: concurrent Lazy.force is unsafe, reading
+       a forced suspension is not *)
+    ignore (Lazy.force rv);
+    let n = List.length grid in
+    let cancels = Array.init n (fun _ -> Atomic.make false) in
+    Sched.Pool.map pool
+      (fun (rank, c) ->
+        let r =
+          run_cell ~slice:(Obs.Budget.with_cancel budget cancels.(rank)) c
+        in
+        if r.won <> None then
+          for j = rank + 1 to n - 1 do
+            Atomic.set cancels.(j) true
+          done;
+        r)
+      (List.mapi (fun rank c -> (rank, c)) grid)
+  in
+  let select results =
+    match
+      List.find_map (fun r -> Option.map (fun v -> (v, r)) r.won) results
+    with
+    | Some (v, r) ->
+      Option.iter (fun sink -> List.iter sink r.proofs) proof_sink;
+      store_bound bcache ~certify v r.name r.bound;
+      v
+    | None ->
+      Inconclusive { attempts = List.concat_map (fun r -> r.atts) results }
+  in
+  let jobs =
+    match exec with
+    | In_domain -> []
+    | On_pool p -> [ ("jobs", Obs.Trace.Int (Sched.Pool.size p)) ]
+  in
+  (* engine.verify stays a trace-only span: an aggregate row under
+     "engine." would be counted as a strategy attempt *)
   let verdict =
     Obs.Trace.with_span "engine.verify"
-      ~args:[ ("target", Obs.Trace.String target) ]
-      ~result:verdict_arg run_ladder
+      ~args:(("target", Obs.Trace.String target) :: jobs)
+      ~result:(fun v -> [ ("verdict", Obs.Trace.String (outcome_name v)) ])
+      (fun () ->
+        select
+          (match exec with
+          | In_domain -> in_domain (List.length grid) grid
+          | On_pool p -> on_pool p))
   in
   count_verdict verdict;
   verdict
 
-(* ----- portfolio execution -----
-
-   Each (strategy, backend) cell becomes an independent job: cells
-   already discharge on the ORIGINAL netlist, so their verdicts
-   compose without any cross-cell state.  Determinism comes from the
-   selection rule, not arrival order: the conclusive verdict of the
-   LOWEST-ranked cell wins, which is exactly the cell sequential
-   [verify] would have stopped at (every lower-ranked cell ran to
-   completion uncancelled and was inconclusive).  A conclusive verdict
-   at rank k stands down only ranks ABOVE k — their outcome can no
-   longer matter — through the budget cancellation token each job
-   polls at its existing check points (the backends' solve loops all
-   poll [should_stop], so BDD and external cells cancel too). *)
+let verify ?(config = default) ?(budget = Obs.Budget.unlimited)
+    ?(certify = false) ?proof_sink ?bcache net ~target =
+  run_grid In_domain ~config ~budget ~certify ~proof_sink ~bcache net ~target
 
 let verify_portfolio ?(config = default) ?(budget = Obs.Budget.unlimited)
     ?(certify = false) ?proof_sink ?pool ?(jobs = 1) ?bcache net ~target =
-  let pool_size = match pool with Some p -> Sched.Pool.size p | None -> jobs in
-  if pool_size <= 1 && pool = None then
-    (* one worker: run the ladder in-domain, bit-for-bit the
-       sequential semantics (including lazy phase abstraction) *)
-    verify ~config ~budget ~certify ?proof_sink ?bcache net ~target
-  else begin
-    let tlit = check_target net target in
-    let certify = certify || proof_sink <> None in
-    let rv = reg_view_of net in
-    (* force before sharing: concurrent Lazy.force is unsafe, reading
-       a forced suspension is not *)
-    ignore (Lazy.force rv);
-    (* seeding happens here, on the calling domain, before any job is
-       submitted — workers never touch the cache, so the seeded ladder
-       is the same for every [jobs] value given the same cache state *)
-    let grid = seed_strategies bcache (cells ~config net ~target ~tlit ~rv) in
-    let n = List.length grid in
-    let cancels = Array.init n (fun _ -> Atomic.make false) in
-    let cancel_above k =
-      for j = k + 1 to n - 1 do
-        Atomic.set cancels.(j) true
-      done
-    in
-    let run_job (rank, (backend, s)) =
-      (* proofs are sunk locally and replayed only if this rank is
-         selected — the real sink must not observe losers *)
-      let proofs = ref [] in
-      let local_sink =
-        match proof_sink with
-        | None -> None
-        | Some _ -> Some (fun p -> proofs := p :: !proofs)
-      in
-      (* every job gets the WHOLE remaining budget (racing strategies
-         replace the sequential equal split) plus its rank's
-         cancellation token *)
-      let jbudget = Obs.Budget.with_cancel budget cancels.(rank) in
-      let verdict, atts, bound =
-        run_strategy ~config ~certify ~proof_sink:local_sink ~backend
-          ~slice:jbudget net ~target ~tlit s
-      in
-      if verdict <> None then cancel_above rank;
-      (verdict, atts, List.rev !proofs, (fst s, bound))
-    in
-    let indexed = List.mapi (fun i c -> (i, c)) grid in
-    let verdict =
-      Obs.Trace.with_span "engine.verify" ~result:verdict_arg
-        ~args:
-          [
-            ("target", Obs.Trace.String target);
-            ("jobs", Obs.Trace.Int pool_size);
-          ]
-        (fun () ->
-          let results =
-            match pool with
-            | Some p -> Sched.Pool.map p run_job indexed
-            | None ->
-              Sched.Pool.with_pool ~jobs (fun p ->
-                  Sched.Pool.map p run_job indexed)
-          in
-          let v =
-            match
-              (* results are in rank order; the first conclusive one
-                 is the sequential answer *)
-              List.find_map
-                (function
-                  | Some v, _, proofs, nb -> Some (v, proofs, nb)
-                  | None, _, _, _ -> None)
-                results
-            with
-            | Some (v, proofs, (sname, bound)) ->
-              Option.iter (fun sink -> List.iter sink proofs) proof_sink;
-              (* only the WINNING rank's bound enters the cache — the
-                 same bound the sequential ladder would have stored *)
-              store_bound bcache ~certify v sname bound;
-              v
-            | None ->
-              Inconclusive
-                { attempts = List.concat_map (fun (_, a, _, _) -> a) results }
-          in
-          v)
-    in
-    count_verdict verdict;
-    verdict
-  end
+  let run exec =
+    run_grid exec ~config ~budget ~certify ~proof_sink ~bcache net ~target
+  in
+  match pool with
+  | Some p -> run (On_pool p)
+  | None when jobs <= 1 -> run In_domain
+  | None -> Sched.Pool.with_pool ~jobs (fun p -> run (On_pool p))
 
 (* ----- cached verification ----- *)
 
@@ -680,8 +659,8 @@ let cache_keys ?(config = default) ~certify net ~target =
       certify,
     Printf.sprintf "b:%s:%s:" fp (config_digest ~with_cutoff:false config) )
 
-let verify_cached ?(config = default) ?budget ?(certify = false) ?pool
-    ?(jobs = 1) ~cache net ~target =
+let verify_cached ?(config = default) ?budget ?(certify = false) ~cache net
+    ~target =
   let vkey, bprefix = cache_keys ~config ~certify net ~target in
   match Bcache.find cache vkey with
   | Some (Bcache.Proved { strategy; depth }) ->
@@ -694,8 +673,7 @@ let verify_cached ?(config = default) ?budget ?(certify = false) ?pool
     (v, Cache_hit)
   | Some (Bcache.Bound _) (* never stored under a "v:" key *) | None ->
     let v =
-      verify_portfolio ~config ?budget ~certify ?pool ~jobs
-        ~bcache:(cache, bprefix) net ~target
+      verify ~config ?budget ~certify ~bcache:(cache, bprefix) net ~target
     in
     (if certify then
        match v with

@@ -20,9 +20,8 @@
     Every completeness-threshold strategy discharges its final BMC run
     on the {e original} netlist, so counterexamples always replay
     there and proofs never depend on a transformation being trusted
-    end-to-end.  That independence is also what lets
-    {!verify_portfolio} race the same ladder across domains with no
-    cross-strategy state.
+    end-to-end.  That independence is also what lets the ladder run on
+    a worker pool with no cross-strategy state.
 
     Every SAT query goes through a pluggable {!Backend}; the ladder is
     really a grid of (strategy, backend) {e cells}.  With the default
@@ -31,7 +30,36 @@
     strategy is attempted once per backend, strategy-major (every
     backend of strategy [i] outranks every cell of strategy [i + 1]),
     and non-reference cells are named ["<strategy>@<backend>"] in
-    attempts and verdicts. *)
+    attempts and verdicts.
+
+    {b One driver, two executors.}  {!verify} and {!verify_portfolio}
+    run the same grid runner: it checks the target, builds the cell
+    grid and seeds it from the bound cache, runs every cell with its
+    own proof buffer, then selects the {e lowest-ranked} conclusive
+    cell, replays only that cell's proofs into [proof_sink], stores
+    only its bound, counts the verdict and opens the one trace span
+    ["engine.verify"].  Only the executor differs:
+
+    - {e in-domain} ({!verify}, and {!verify_portfolio} without a pool
+      and with [jobs <= 1]): cells run in rank order on the calling
+      domain, each on an equal {!Obs.Budget.slice} of the wall clock
+      remaining when it starts, and the run stops at the first
+      conclusive cell.  For latch-based designs the phase abstraction
+      is computed lazily, only once a rung needs it;
+    - {e pool} ({!verify_portfolio} with a [pool], or [jobs > 1]):
+      every cell is an independent job with the {e whole} remaining
+      budget and its rank's {!Obs.Budget} cancellation token; a
+      conclusive cell at rank [k] cancels only the ranks above [k],
+      which observe it at their budget check points and record
+      {!budget_reason} attempts.  The phase abstraction is computed up
+      front.
+
+    Selection is by rank, never by completion order, and backends are
+    sound decision procedures, so both executors pick the same cell:
+    on the pool every lower-ranked cell ran uncancelled and was
+    inconclusive.  With an unconstrained budget the verdict, the
+    selected strategy and (for [Inconclusive]) the attempt reasons are
+    identical for every executor and job count. *)
 
 type config = {
   cutoff : int;  (** a bound below this is considered BMC-dischargeable *)
@@ -99,7 +127,8 @@ val verify :
   Netlist.Net.t ->
   target:string ->
   verdict
-(** @raise Invalid_argument on an unknown target name.
+(** The ladder on the in-domain executor.
+    @raise Invalid_argument on an unknown target name.
 
     With [~certify:true] every candidate verdict is independently
     re-derived before being reported (see {!Certify}): counterexamples
@@ -116,34 +145,32 @@ val verify :
     verdict, it can only withhold a corrupt one.
 
     [proof_sink] (implies [certify]) receives the clausal proof of
-    each discharge BMC run that certified a [Proved] verdict — for
-    [--proof] style dumping.
+    each discharge BMC run that certified the selected [Proved]
+    verdict, in the order the cell produced them, on the calling
+    domain — for [--proof] style dumping.
 
     Every strategy runs under the {!Obs.span}
     ["engine.<strategy>"], and verdicts bump the
     ["engine.proved"/"engine.violated"/"engine.inconclusive"]
     counters.
 
-    A [budget] governs the whole ladder: each strategy receives an
-    equal {!Obs.Budget.slice} of the wall-clock remaining when it
-    starts (per-call SAT/BDD allowances pass through unchanged), a
-    strategy that runs out records a {!budget_reason} attempt — with
-    any bound it managed to compute — and the ladder continues; once
-    the overall deadline is gone the remaining strategies stand down
-    immediately.  The slice arithmetic is clamped: an overrunning
-    early strategy can squeeze a later one down to an already-expired
-    slice, but never make it disappear from the attempt log — a dead
-    slice still records its {!budget_reason} attempt.  Budget
-    exhaustion is never reported as [Proved] or [Violated], and
+    A [budget] governs the whole run (see the executors above for how
+    it is shared out; per-call SAT/BDD allowances pass through
+    unchanged).  A strategy that runs out records a {!budget_reason}
+    attempt — with any bound it managed to compute — and the ladder
+    continues; a cell whose share is already gone still records its
+    {!budget_reason} attempt, never vanishing from the attempt log.
+    Budget exhaustion is never reported as [Proved] or [Violated], and
     additionally bumps ["engine.budget_exhausted"].
 
     [bcache] is [(cache, key_prefix)]: each ladder strategy probes
     [key_prefix ^ strategy] for a previously certified completeness
     bound and, on a hit, skips its analysis and discharges the cached
     bound directly (BMC run and certification repeated in full, so a
-    seeded ladder can only conclude what a fresh one would); when a
-    strategy's certified [Proved] carries a bound, it is stored back
-    under the same key.  Callers normally reach this through
+    seeded ladder can only conclude what a fresh one would); when the
+    selected cell's certified [Proved] carries a bound, it is stored
+    back under the same key.  Seeding and storing both happen on the
+    calling domain.  Callers normally reach this through
     {!verify_cached} rather than directly. *)
 
 val verify_portfolio :
@@ -157,41 +184,9 @@ val verify_portfolio :
   Netlist.Net.t ->
   target:string ->
   verdict
-(** {!verify} with the (strategy, backend) cell grid racing as
-    independent portfolio jobs across [jobs] worker domains ([pool], when given, is used
-    instead and [jobs] is ignored; with neither, or [jobs <= 1], this
-    {e is} sequential {!verify}).
-
-    The result is reproducible and identical to sequential {!verify}
-    regardless of [jobs]: the conclusive verdict of the lowest-ranked
-    cell wins — never the first to finish — and that is exactly the
-    cell the sequential ladder would have stopped at, since every
-    lower-ranked cell ran uncancelled to completion and was
-    inconclusive.  This holds for multi-backend [Race] specs too:
-    backends are sound decision procedures, so a cell's conclusive
-    verdict is a function of the problem alone and rank selection
-    yields byte-identical output for every [jobs] value.  A conclusive verdict at rank [k] cooperatively
-    cancels only the ranks above [k] (their outcome can no longer be
-    selected) via {!Obs.Budget} cancellation tokens, which those jobs
-    observe at their existing budget check points and record as
-    {!budget_reason} attempts.
-
-    Two deliberate semantic differences from a budgeted sequential
-    run: each racing cell receives the {e whole} remaining budget
-    rather than an equal slice, and for latch-based designs the phase
-    abstraction is computed up front rather than lazily after the
-    probe.  With an unconstrained budget the verdict, selected
-    strategy and (for [Inconclusive]) the attempt reasons coincide
-    exactly with {!verify}'s.
-
-    [proof_sink] observes only the winning rank's proofs, in their
-    original order, from the calling domain.
-
-    [bcache] behaves as in {!verify}: seeding and storing both happen
-    on the calling domain (probe before submission, store on the
-    winning rank's verdict), so worker domains never touch the cache
-    and the outcome is independent of [jobs] for a given cache
-    state. *)
+(** {!verify} on the pool executor: on [pool] when given (then [jobs]
+    is ignored), else on a fresh pool of [jobs] worker domains; with
+    neither, or [jobs <= 1], this {e is} {!verify}. *)
 
 (** {1 Cached verification} *)
 
@@ -216,13 +211,11 @@ val verify_cached :
   ?config:config ->
   ?budget:Obs.Budget.t ->
   ?certify:bool ->
-  ?pool:Sched.Pool.t ->
-  ?jobs:int ->
   cache:Bcache.t ->
   Netlist.Net.t ->
   target:string ->
   verdict * cache_status
-(** {!verify_portfolio} in front of a {!Bcache}: a cached conclusive
+(** {!verify} in front of a {!Bcache}: a cached conclusive
     verdict for the same cone fingerprint and configuration is
     returned without running anything ([Cache_hit]); otherwise the
     ladder runs with per-strategy bound seeding (see {!verify}) and,
@@ -235,6 +228,12 @@ val verify_cached :
     the cache's hit/miss counters measure. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
+
+val verdict_brief : verdict -> string
+(** A compact, timing-free rendering — ["PROVED(<strategy>,depth=<d>)"],
+    ["VIOLATED(<strategy>,t=<t>)"] or
+    ["INCONCLUSIVE(<strategy>=<reason>;...)"] — so two verdicts agree
+    modulo wall clock iff their briefs are equal. *)
 
 val exhausted : verdict -> bool
 (** [true] iff the verdict is [Inconclusive] with at least one

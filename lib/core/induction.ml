@@ -19,42 +19,10 @@ type cert = {
 
 let new_cert () = { base = None; step = None }
 
-(* chained free-initial-state frames, as in the van Eijk engine *)
-let chain_frames solver net k =
-  let frames = Array.init (k + 1) (fun _ -> Encode.Frame.create solver net) in
-  for i = 0 to k - 1 do
-    List.iter
-      (fun r ->
-        let next_i = Encode.Frame.lit frames.(i) (Net.reg_of net r).Net.next in
-        let s_next = Encode.Frame.state_var frames.(i + 1) r in
-        Solver.add_clause solver [ Solver.negate next_i; s_next ];
-        Solver.add_clause solver [ next_i; Solver.negate s_next ])
-      (Net.regs net)
-  done;
-  frames
-
-let add_distinct solver net frames i j =
-  let diffs =
-    List.map
-      (fun r ->
-        let a = Encode.Frame.state_var frames.(i) r in
-        let b = Encode.Frame.state_var frames.(j) r in
-        let d = Solver.pos (Solver.new_var solver) in
-        Solver.add_clause solver [ Solver.negate d; a; b ];
-        Solver.add_clause solver [ Solver.negate d; Solver.negate a; Solver.negate b ];
-        d)
-      (Net.regs net)
-  in
-  Solver.add_clause solver diffs
-
 (* step case: from a free state, k hit-free steps force step k+1 to be
    hit-free *)
 let step_holds ~unique ?budget ?cert ?backend net target k =
-  let solver =
-    match backend with
-    | Some b -> Backend.instantiate b
-    | None -> Backend.default_solver ()
-  in
+  let solver = Backend.solver_of backend in
   let proof =
     Option.map
       (fun _ ->
@@ -63,14 +31,17 @@ let step_holds ~unique ?budget ?cert ?backend net target k =
         p)
       cert
   in
-  let frames = chain_frames solver net (k + 1) in
+  let frames = Encode.Frame.chain solver net (k + 1) in
   for i = 0 to k do
     Solver.add_clause solver [ Solver.negate (Encode.Frame.lit frames.(i) target) ]
   done;
   if unique then
     for i = 0 to k do
       for j = i + 1 to k + 1 do
-        add_distinct solver net frames i j
+        Encode.Frame.distinct solver
+          (Encode.Frame.state_var frames.(i))
+          (Encode.Frame.state_var frames.(j))
+          (Net.regs net)
       done
     done;
   let goal = Encode.Frame.lit frames.(k + 1) target in

@@ -69,20 +69,6 @@ let target_distances net target =
   done;
   dist
 
-let add_distinct solver lits_i lits_j =
-  let diffs =
-    List.map2
-      (fun a b ->
-        let d = Solver.pos (Solver.new_var solver) in
-        (* d -> (a xor b) *)
-        Solver.add_clause solver [ Solver.negate d; a; b ];
-        Solver.add_clause solver
-          [ Solver.negate d; Solver.negate a; Solver.negate b ];
-        d)
-      lits_i lits_j
-  in
-  Solver.add_clause solver diffs
-
 let gave_up ?(why = Backend.budget_reason) k sat_calls =
   if not (Backend.is_unavailable why) then
     Obs.Budget.note_exhausted "recurrence";
@@ -97,13 +83,8 @@ let gave_up ?(why = Backend.budget_reason) k sat_calls =
 let expired budget =
   match budget with Some b -> Obs.Budget.expired b | None -> false
 
-let mk_solver backend =
-  match backend with
-  | Some b -> Backend.instantiate b
-  | None -> Backend.default_solver ()
-
 let plain ~limit ?budget ?cert ?backend net target regs =
-  let solver = mk_solver backend in
+  let solver = Backend.solver_of backend in
   let proof = attach_proof cert solver in
   let unroll = Encode.Unroll.create solver net in
   ignore target;
@@ -123,7 +104,8 @@ let plain ~limit ?budget ?cert ?backend net target regs =
     else if expired budget then gave_up k !sat_calls
     else begin
       for i = 0 to k - 1 do
-        add_distinct solver (state_lits i) (state_lits k)
+        Encode.Frame.distinct solver fst snd
+          (List.combine (state_lits i) (state_lits k))
       done;
       incr sat_calls;
       match Encode.Sat_obs.solve ?budget ~span:"recurrence.solve" solver with
@@ -170,25 +152,11 @@ let bounded ~limit ?budget ?cert ?backend net target regs =
       }
     else if expired budget then gave_up k !sat_calls
     else begin
-      let solver = mk_solver backend in
+      let solver = Backend.solver_of backend in
       (* each k is a fresh encoding, so a fresh proof; only the final
          (Unsat) one becomes the certificate *)
       let proof = attach_proof cert solver in
-      (* free-start chained frames *)
-      let frames =
-        Array.init (k + 1) (fun _ -> Encode.Frame.create solver net)
-      in
-      for i = 0 to k - 1 do
-        List.iter
-          (fun r ->
-            let next_i =
-              Encode.Frame.lit frames.(i) (Net.reg_of net r).Net.next
-            in
-            let s_next = Encode.Frame.state_var frames.(i + 1) r in
-            Solver.add_clause solver [ Solver.negate next_i; s_next ];
-            Solver.add_clause solver [ next_i; Solver.negate s_next ])
-          regs
-      done;
+      let frames = Encode.Frame.chain solver net k in
       let relevant j =
         List.filter
           (fun r ->
@@ -202,7 +170,8 @@ let bounded ~limit ?budget ?cert ?backend net target regs =
         let rs = relevant j in
         if rs <> [] then
           for i = 0 to j - 1 do
-            add_distinct solver (lits rs i) (lits rs j)
+            Encode.Frame.distinct solver fst snd
+              (List.combine (lits rs i) (lits rs j))
           done
       done;
       incr sat_calls;

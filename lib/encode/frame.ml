@@ -46,3 +46,32 @@ let lit = slit
 let state_var t v =
   if not (Net.is_state t.net v) then invalid_arg "Frame.state_var";
   Solver.pos (var t v)
+
+let chain solver net k =
+  let frames = Array.init (k + 1) (fun _ -> create solver net) in
+  for i = 0 to k - 1 do
+    List.iter
+      (fun r ->
+        let next_i = lit frames.(i) (Net.reg_of net r).Net.next in
+        let s_next = state_var frames.(i + 1) r in
+        Solver.add_clause solver [ Solver.negate next_i; s_next ];
+        Solver.add_clause solver [ next_i; Solver.negate s_next ])
+      (Net.regs net)
+  done;
+  frames
+
+let distinct solver a b xs =
+  let diffs =
+    List.map
+      (fun x ->
+        let a = a x in
+        let b = b x in
+        (* d -> (a xor b) *)
+        let d = Solver.pos (Solver.new_var solver) in
+        Solver.add_clause solver [ Solver.negate d; a; b ];
+        Solver.add_clause solver
+          [ Solver.negate d; Solver.negate a; Solver.negate b ];
+        d)
+      xs
+  in
+  Solver.add_clause solver diffs

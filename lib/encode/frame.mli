@@ -3,7 +3,8 @@
 
     Inputs and state-element outputs become free solver variables;
     ANDs get defining clauses.  Used for combinational equivalence
-    queries (SAT sweeping) where state elements are cut points. *)
+    queries (SAT sweeping) where state elements are cut points, and
+    chained ({!chain}) for paths from a free initial state. *)
 
 type t
 
@@ -19,3 +20,16 @@ val lit : t -> Netlist.Lit.t -> Backend.lit
 val state_var : t -> int -> Backend.lit
 (** Solver literal (positive) for the current-state output of a
     register/latch variable. *)
+
+val chain : Backend.solver -> Netlist.Net.t -> int -> t array
+(** [chain solver net k]: frames [0 .. k] with every register's
+    state in frame [i + 1] tied to its next-state function in frame
+    [i] — a path of [k] steps from a {e free} (not initial) state. *)
+
+val distinct :
+  Backend.solver -> ('a -> Backend.lit) -> ('a -> Backend.lit) -> 'a list ->
+  unit
+(** [distinct solver a b xs] asserts [a x <> b x] for at least one [x]
+    in [xs]: one fresh difference variable per [x], allocated right
+    after [a x] and then [b x] are evaluated, and one clause over all
+    of them. *)

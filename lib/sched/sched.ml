@@ -4,13 +4,7 @@
     draining a bounded queue of opaque jobs.  Everything that makes
     parallel verification deterministic — rank-based verdict
     selection, cooperative cancellation through [Obs.Budget] tokens —
-    lives in the callers (see [Core.Engine.verify_portfolio]). *)
+    lives in the callers (see the pool executor of [Core.Engine]'s
+    grid runner). *)
 
 module Pool = Pool
-
-let default_jobs () =
-  match Sys.getenv_opt "DIAMBOUND_JOBS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> 1)
-  | None -> 1

@@ -26,23 +26,6 @@ let fault_of_name = function
   | "drop-proof" -> Some Sat.Chaos.Drop_proof
   | _ -> None
 
-(* timing-free comparison for the differential replay: two verdicts
-   agree iff strategy and depth/time (and, for inconclusive, the
-   attempt reasons) coincide — the same notion the campaign oracle
-   uses *)
-let brief = function
-  | Engine.Proved { strategy; depth } ->
-    Printf.sprintf "P(%s,%d)" strategy depth
-  | Engine.Violated { strategy; cex } ->
-    Printf.sprintf "V(%s,%d)" strategy cex.Bmc.depth
-  | Engine.Inconclusive { attempts } ->
-    "I("
-    ^ String.concat ";"
-        (List.map
-           (fun (a : Engine.attempt) -> a.Engine.strategy ^ "=" ^ a.Engine.reason)
-           attempts)
-    ^ ")"
-
 let body_of_verdict ?injections v =
   let base =
     match v with
@@ -154,10 +137,10 @@ let run ~cache ~chaos_seed ?budget ?corr (r : Request.t) =
             | None -> Engine.default
           in
           let certify = r.Request.certify in
-          let verify () =
-            Engine.verify_cached ~config
-              ~budget:(budget_of ?override:budget r)
-              ~certify ~cache net ~target
+          let budget () = budget_of ?override:budget r in
+          (* a derivation that neither reads nor writes the cache *)
+          let fresh () =
+            Engine.verify ~config ~budget:(budget ()) ~certify net ~target
           in
           match (r.Request.chaos, chaos_seed) with
           | Some _, None ->
@@ -182,11 +165,6 @@ let run ~cache ~chaos_seed ?budget ?corr (r : Request.t) =
                  The cache is bypassed in BOTH directions — a fault
                  must neither read a clean cached answer (it would mask
                  the injection) nor write anything back *)
-              let fresh () =
-                Engine.verify_portfolio ~config
-                  ~budget:(budget_of ?override:budget r)
-                  ~certify net ~target
-              in
               let v, injections =
                 Sat.Chaos.with_fault_scoped ~seed fault fresh
               in
@@ -197,7 +175,10 @@ let run ~cache ~chaos_seed ?budget ?corr (r : Request.t) =
                   cache = "bypass";
                 })
           | None, _ -> (
-            let v, status = verify () in
+            let v, status =
+              Engine.verify_cached ~config ~budget:(budget ()) ~certify ~cache
+                net ~target
+            in
             match (status, chaos_seed) with
             | Engine.Cache_hit, Some _ -> (
               (* Differential replay under chaos arming: a hit is
@@ -206,12 +187,11 @@ let run ~cache ~chaos_seed ?budget ?corr (r : Request.t) =
                  everything about this cone and serve the fresh
                  answer, so a fault can never be replayed out of the
                  cache. *)
-              let fresh =
-                Engine.verify_portfolio ~config
-                  ~budget:(budget_of ?override:budget r)
-                  ~certify net ~target
-              in
-              if String.equal (brief v) (brief fresh) || Engine.exhausted fresh
+              let fresh = fresh () in
+              if
+                String.equal (Engine.verdict_brief v)
+                  (Engine.verdict_brief fresh)
+                || Engine.exhausted fresh
               then
                 (* an exhausted replay (the requester brought a starved
                    budget) is no evidence against the cached proof —

@@ -80,20 +80,7 @@ let run ?(seed = 0xe11c) ?(sim_steps = 31) ?(depth = 2) original =
     (* [depth]-induction: frames 0 .. depth, consecutive states tied by
        the transition functions; hypothesis on the first [depth]
        frames, consecution checked on the last *)
-    let frames =
-      Array.init (depth + 1) (fun _ -> Encode.Frame.create solver net)
-    in
-    for i = 0 to depth - 1 do
-      List.iter
-        (fun r ->
-          let next_i =
-            Encode.Frame.lit frames.(i) (Net.reg_of net r).Net.next
-          in
-          let s_next = Encode.Frame.state_var frames.(i + 1) r in
-          Solver.add_clause solver [ Solver.negate next_i; s_next ];
-          Solver.add_clause solver [ next_i; Solver.negate s_next ])
-        (Net.regs net)
-    done;
+    let frames = Encode.Frame.chain solver net depth in
     (* induction hypothesis: every surviving equivalence holds on the
        first [depth] frames *)
     List.iter

@@ -74,21 +74,32 @@ timeout 60 dune exec bin/diam_tool.exe -- trace-report \
   || { echo "ci: jsonl trace unreadable (FAIL)"; exit 1; }
 echo "ci: jsonl trace smoke ok"
 
-# Parallel determinism: --jobs 2 must produce byte-identical verdicts
-# to --jobs 1 on every example design — the portfolio's rank-based
-# selection guarantee, checked end to end.
-for f in examples/*.bench; do
-  rc1=0; rc2=0
-  timeout 120 dune exec bin/verify_tool.exe -- "$f" --jobs 1 \
-    > "$tmpdir/j1.out" || rc1=$?
-  timeout 120 dune exec bin/verify_tool.exe -- "$f" --jobs 2 \
-    > "$tmpdir/j2.out" || rc2=$?
-  [ "$rc1" = "$rc2" ] \
-    || { echo "ci: $f exit codes differ across --jobs (FAIL)"; exit 1; }
-  diff -u "$tmpdir/j1.out" "$tmpdir/j2.out" \
-    || { echo "ci: $f verdicts differ across --jobs (FAIL)"; exit 1; }
+# Parallel and race determinism: --jobs 2 must produce byte-identical
+# verdicts, exit codes and certified proofs to --jobs 1 on every
+# example design, for the reference backend and for the full
+# (strategy x backend) race grid — rank-based cell selection, not
+# wall-clock order, decides the verdict and whose proof is written.
+# Both runs write their proofs under one prefix, so the printed proof
+# paths match; each run's files are then set aside for a byte compare.
+for backend in reference race; do
+  for f in examples/*.bench; do
+    for j in 1 2; do
+      rm -rf "$tmpdir/proof" "$tmpdir/proofs$j"
+      mkdir "$tmpdir/proof"
+      rc=0
+      timeout 300 dune exec bin/verify_tool.exe -- "$f" --backend "$backend" \
+        --jobs "$j" --certify --proof "$tmpdir/proof/p" \
+        > "$tmpdir/j$j.out" || rc=$?
+      echo "exit $rc" >> "$tmpdir/j$j.out"
+      mv "$tmpdir/proof" "$tmpdir/proofs$j"
+    done
+    diff -u "$tmpdir/j1.out" "$tmpdir/j2.out" \
+      || { echo "ci: $f $backend verdicts differ across --jobs (FAIL)"; exit 1; }
+    diff -r "$tmpdir/proofs1" "$tmpdir/proofs2" > /dev/null \
+      || { echo "ci: $f $backend proofs differ across --jobs (FAIL)"; exit 1; }
+  done
 done
-echo "ci: parallel determinism ok"
+echo "ci: parallel and race determinism ok"
 
 # Backend matrix: every backend must tell the same story on the
 # example designs.  The external backend (wired to our own diam sat,
@@ -135,22 +146,6 @@ DIAMBOUND_EXT_SOLVER=/nonexistent/diambound-ext-solver timeout 60 \
 grep -q "backend-unavailable" "$tmpdir/noext.out" \
   || { echo "ci: missing ext binary reason unstructured (FAIL)"; exit 1; }
 echo "ci: ext missing-binary smoke ok"
-
-# Race determinism: the full (strategy x backend) grid must keep the
-# byte-identical --jobs guarantee — rank-based cell selection, not
-# wall-clock order, decides the verdict.
-for f in examples/*.bench; do
-  rc1=0; rc2=0
-  timeout 300 dune exec bin/verify_tool.exe -- "$f" --backend race --jobs 1 \
-    > "$tmpdir/race1.out" || rc1=$?
-  timeout 300 dune exec bin/verify_tool.exe -- "$f" --backend race --jobs 2 \
-    > "$tmpdir/race2.out" || rc2=$?
-  [ "$rc1" = "$rc2" ] \
-    || { echo "ci: $f race exit codes differ across --jobs (FAIL)"; exit 1; }
-  diff -u "$tmpdir/race1.out" "$tmpdir/race2.out" \
-    || { echo "ci: $f race verdicts differ across --jobs (FAIL)"; exit 1; }
-done
-echo "ci: race determinism ok"
 
 # Corpus determinism: the corpus walk over examples/ must be
 # byte-identical (stdout is timing-free by design) and report the

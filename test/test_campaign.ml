@@ -122,7 +122,8 @@ let test_oracle_clean () =
           match expired.Oracle.outcome with
           | Ok (Core.Engine.Inconclusive _) -> ()
           | Ok v ->
-            Alcotest.failf "expired budget concluded %s" (Oracle.verdict_brief v)
+            Alcotest.failf "expired budget concluded %s"
+              (Core.Engine.verdict_brief v)
           | Error e -> Alcotest.failf "expired budget crashed %s" e)
         (Net.targets case.Fuzz.net))
     [ 0; 1; 2; 3; 4; 5 ]

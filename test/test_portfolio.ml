@@ -4,32 +4,51 @@
 module Net = Netlist.Net
 module Lit = Netlist.Lit
 
-let verdict_key = function
-  | Core.Engine.Proved { strategy; depth } ->
-    Printf.sprintf "proved:%s:%d" strategy depth
-  | Core.Engine.Violated { strategy; cex } ->
-    Printf.sprintf "violated:%s:%d" strategy cex.Bmc.depth
-  | Core.Engine.Inconclusive { attempts } ->
-    "inconclusive:"
-    ^ String.concat ";"
-        (List.map
-           (fun (a : Core.Engine.attempt) -> a.strategy ^ "=" ^ a.reason)
-           attempts)
-
 (* the portfolio contract: for every jobs count, verdict, winning
    strategy and (when inconclusive) the stand-down reasons match the
-   sequential ladder exactly under an unlimited budget *)
+   sequential ladder exactly under an unlimited budget.  Certified with
+   a counting proof sink, every executor — in-domain, a caller-owned
+   one-worker pool, two workers — also replays the same number of
+   proofs: only the selected cell's, after selection.  The unhittable
+   target "u" makes the ladder prove, so there are proofs to count. *)
 let prop_portfolio_matches_sequential =
   Helpers.qtest ~count:20 "verify_portfolio == verify (jobs 1/2/4)"
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let net, _ = Helpers.rand_structured seed in
-      let seq = Core.Engine.verify net ~target:"t" in
+      let net, t = Helpers.rand_structured seed in
+      Net.add_target net "u" (Net.add_and net t (Lit.neg t));
+      let brief = Core.Engine.verdict_brief in
+      let seq = brief (Core.Engine.verify net ~target:"t") in
+      let certified target verify =
+        let sunk = ref 0 in
+        let v = verify ~proof_sink:(fun _ -> incr sunk) ~target in
+        (brief v, !sunk)
+      in
+      let executors_agree target =
+        let in_domain =
+          certified target (fun ~proof_sink ~target ->
+              Core.Engine.verify ~certify:true ~proof_sink net ~target)
+        in
+        let one_worker =
+          Sched.Pool.with_pool ~jobs:1 (fun pool ->
+              certified target (fun ~proof_sink ~target ->
+                  Core.Engine.verify_portfolio ~certify:true ~proof_sink ~pool
+                    net ~target))
+        in
+        let two_workers =
+          certified target (fun ~proof_sink ~target ->
+              Core.Engine.verify_portfolio ~certify:true ~proof_sink ~jobs:2
+                net ~target)
+        in
+        one_worker = in_domain && two_workers = in_domain
+      in
       List.for_all
         (fun jobs ->
-          let par = Core.Engine.verify_portfolio ~jobs net ~target:"t" in
-          String.equal (verdict_key seq) (verdict_key par))
-        [ 1; 2; 4 ])
+          String.equal seq
+            (brief (Core.Engine.verify_portfolio ~jobs net ~target:"t")))
+        [ 1; 2; 4 ]
+      && executors_agree "t"
+      && executors_agree "u")
 
 let test_portfolio_on_shared_pool () =
   (* a caller-owned pool survives a portfolio run — cancellation must

@@ -60,19 +60,6 @@ let test_jobs_clamped () =
   Sched.Pool.with_pool ~jobs:0 (fun pool ->
       Helpers.check_int "at least one worker" 1 (Sched.Pool.size pool))
 
-let test_default_jobs_env () =
-  (* Sched.default_jobs reads DIAMBOUND_JOBS; garbage falls back to 1 *)
-  let with_env v f =
-    let old = Sys.getenv_opt "DIAMBOUND_JOBS" in
-    Unix.putenv "DIAMBOUND_JOBS" v;
-    Fun.protect f ~finally:(fun () ->
-        Unix.putenv "DIAMBOUND_JOBS" (Option.value old ~default:""))
-  in
-  with_env "3" (fun () ->
-      Helpers.check_int "env honoured" 3 (Sched.default_jobs ()));
-  with_env "nope" (fun () ->
-      Helpers.check_int "garbage falls back" 1 (Sched.default_jobs ()))
-
 let counter name = Obs.Stats.counter_value (Obs.Stats.counter name)
 
 let test_try_submit_rejects_when_full () =
@@ -144,8 +131,6 @@ let suite =
     Alcotest.test_case "with_pool shuts down on exception" `Quick
       test_with_pool_shuts_down_on_exception;
     Alcotest.test_case "jobs clamped to sane range" `Quick test_jobs_clamped;
-    Alcotest.test_case "default_jobs reads the environment" `Quick
-      test_default_jobs_env;
     Alcotest.test_case "try_submit rejects when full" `Quick
       test_try_submit_rejects_when_full;
     Alcotest.test_case "poisoned worker heals" `Quick test_poison_heals;
