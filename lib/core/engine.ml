@@ -145,7 +145,10 @@ let run_strategy ~config ~certify ~keep_proofs ~backend ~slice net ~target
     if keep_proofs then Some (fun p -> proofs := p :: !proofs) else None
   in
   let stand_down reason =
-    if String.equal reason budget_reason then begin
+    (* a rank cancelled by a lower conclusive one stands down with the
+       same reason, but its allowance did not run out *)
+    if String.equal reason budget_reason && not (Obs.Budget.cancelled slice)
+    then begin
       Stats.count "engine.budget_exhausted" 1;
       Obs.Budget.note_exhausted "engine"
     end;
@@ -454,15 +457,15 @@ let check_target net target =
 (* ----- the (strategy x backend) cell grid -----
 
    One cell per ladder strategy per backend of the run's spec,
-   STRATEGY-MAJOR: all backends of strategy 1 outrank every cell of
-   strategy 2.  With a single backend this degenerates to the plain
-   ladder (identical names, identical order), so default output is
-   unchanged.  Rank order is total and static, which is what keeps
-   portfolio selection deterministic for every job count. *)
-
-let rec transpose = function
-  | [] | [] :: _ -> []
-  | rows -> List.map List.hd rows :: transpose (List.map List.tl rows)
+   BACKEND-MAJOR: every cell of the first backend, in ladder order,
+   outranks every cell of the next.  A later backend is thus a
+   fallback: it can only decide a target on which the whole ladder of
+   every earlier backend stood down, and no cell of a later backend
+   outranks a verdict of the first.  With a single
+   backend this degenerates to the plain ladder (identical names,
+   identical order), so default output is unchanged.  Rank order is
+   total and static, which is what keeps portfolio selection
+   deterministic for every job count. *)
 
 let cells ~config net ~target ~tlit ~rv : (Backend.t * strategy) list =
   let bs =
@@ -471,7 +474,7 @@ let cells ~config net ~target ~tlit ~rv : (Backend.t * strategy) list =
     | bs -> bs
   in
   let multi = List.length bs > 1 in
-  List.map
+  List.concat_map
     (fun b ->
       let suffix =
         if multi && not (Backend.is_reference b) then "@" ^ b.Backend.b_name
@@ -481,7 +484,6 @@ let cells ~config net ~target ~tlit ~rv : (Backend.t * strategy) list =
         (fun s -> (b, s))
         (ladder ~config ~backend:b ~suffix net ~target ~tlit ~rv))
     bs
-  |> transpose |> List.concat
 
 let count_verdict v = Stats.count ("engine." ^ outcome_name v) 1
 
@@ -537,7 +539,8 @@ let store_bound bcache ~certify verdict name bound =
      remaining budget plus its rank's cancellation token; a conclusive
      cell at rank k cancels only the ranks above k, whose outcome can
      no longer be selected (the backends' solve loops all poll
-     [should_stop], so BDD and external cells cancel too).
+     [should_stop], so BDD and external cells cancel too).  A cell
+     already cancelled when a worker dequeues it is never started.
 
    Selection by rank, never by arrival, makes both executors pick the
    same cell: on the pool every lower-ranked cell ran uncancelled to
@@ -577,15 +580,20 @@ let run_grid exec ~config ~budget ~certify ~proof_sink ~bcache net ~target =
     let n = List.length grid in
     let cancels = Array.init n (fun _ -> Atomic.make false) in
     Sched.Pool.map pool
-      (fun (rank, c) ->
-        let r =
-          run_cell ~slice:(Obs.Budget.with_cancel budget cancels.(rank)) c
-        in
-        if r.won <> None then
-          for j = rank + 1 to n - 1 do
-            Atomic.set cancels.(j) true
-          done;
-        r)
+      (fun (rank, ((_, (name, _)) as c)) ->
+        if Atomic.get cancels.(rank) then
+          (* a lower rank has already concluded: this cell can never
+             be selected, so it is not run at all *)
+          { won = None; atts = []; proofs = []; name; bound = None }
+        else
+          let r =
+            run_cell ~slice:(Obs.Budget.with_cancel budget cancels.(rank)) c
+          in
+          if r.won <> None then
+            for j = rank + 1 to n - 1 do
+              Atomic.set cancels.(j) true
+            done;
+          r)
       (List.mapi (fun rank c -> (rank, c)) grid)
   in
   let select results =

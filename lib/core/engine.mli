@@ -27,10 +27,15 @@
     really a grid of (strategy, backend) {e cells}.  With the default
     single reference backend the grid degenerates to the plain ladder
     and behaves exactly as documented above; with a [Race] spec each
-    strategy is attempted once per backend, strategy-major (every
-    backend of strategy [i] outranks every cell of strategy [i + 1]),
-    and non-reference cells are named ["<strategy>@<backend>"] in
-    attempts and verdicts.
+    strategy is attempted once per backend, backend-major (every cell
+    of the spec's first backend, in ladder order, outranks every cell
+    of the next backend), and non-reference cells are named
+    ["<strategy>@<backend>"] in attempts and verdicts.  A later
+    backend is a fallback: it decides only targets on which the whole
+    ladder of every earlier backend stood down, so no later backend's
+    cell outranks a verdict the first backend can reach, at the
+    price of that backend reaching a verdict it could have found on an
+    earlier rung only after the first ladder is exhausted.
 
     {b One driver, two executors.}  {!verify} and {!verify_portfolio}
     run the same grid runner: it checks the target, builds the cell
@@ -51,8 +56,9 @@
       budget and its rank's {!Obs.Budget} cancellation token; a
       conclusive cell at rank [k] cancels only the ranks above [k],
       which observe it at their budget check points and record
-      {!budget_reason} attempts.  The phase abstraction is computed up
-      front.
+      {!budget_reason} attempts; a rank already cancelled when a
+      worker picks it up is not started.  The phase abstraction is
+      computed up front.
 
     Selection is by rank, never by completion order, and backends are
     sound decision procedures, so both executors pick the same cell:
@@ -161,7 +167,10 @@ val verify :
     continues; a cell whose share is already gone still records its
     {!budget_reason} attempt, never vanishing from the attempt log.
     Budget exhaustion is never reported as [Proved] or [Violated], and
-    additionally bumps ["engine.budget_exhausted"].
+    additionally bumps ["engine.budget_exhausted"] and
+    ["budget.exhausted.engine"] — unless the budget's cancellation
+    token is set (on the pool: a lower rank concluded), which is a
+    stand-down, not exhaustion.
 
     [bcache] is [(cache, key_prefix)]: each ladder strategy probes
     [key_prefix ^ strategy] for a previously certified completeness

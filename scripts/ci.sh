@@ -131,6 +131,32 @@ for f in examples/*.bench; do
            exit 1; }
   fi
 done
+# Race arm: the race grid is ranked backend-major, so wherever the
+# reference ladder concludes (exit 0/1) the two-worker race must print
+# the reference run's bytes and exit with its code; elsewhere the bdd
+# fallback may conclude or stand down, but never crash.
+for f in examples/*.bench test/repros/*.bench; do
+  rc_ref=0; rc_race=0
+  timeout 120 dune exec bin/verify_tool.exe -- "$f" --certify \
+    > "$tmpdir/ref.out" || rc_ref=$?
+  timeout 300 dune exec bin/verify_tool.exe -- "$f" --backend race \
+    --jobs 2 --certify > "$tmpdir/race.out" || rc_race=$?
+  case "$rc_ref" in
+    0|1)
+      [ "$rc_ref" = "$rc_race" ] \
+        || { echo "ci: $f exit differs under race backend (FAIL)"; exit 1; }
+      diff -u "$tmpdir/ref.out" "$tmpdir/race.out" \
+        || { echo "ci: $f verdicts differ under race backend (FAIL)"; exit 1; }
+      ;;
+    *)
+      case "$rc_race" in
+        0|1|3) ;;
+        *) echo "ci: $f crashed under race backend (exit $rc_race) (FAIL)"
+           exit 1 ;;
+      esac
+      ;;
+  esac
+done
 echo "ci: backend matrix ok"
 
 # Missing-binary smoke: the ext backend pointed at a binary that does

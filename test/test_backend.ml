@@ -267,8 +267,9 @@ let test_race_verdict_matches_reference () =
   in
   match (single, race) with
   | Core.Engine.Violated p, Core.Engine.Violated q ->
-    (* rank selection: the reference cell of the winning strategy
-       outranks its bdd twin, so the verdict text is unchanged *)
+    (* rank selection: the race grid is backend-major, so every
+       reference cell outranks every bdd cell and the reference
+       ladder's winner is the race's, verdict text unchanged *)
     Helpers.check Alcotest.string "same winning cell" p.strategy q.strategy;
     Helpers.check_int "same counterexample depth" p.cex.Bmc.depth
       q.cex.Bmc.depth

@@ -90,21 +90,123 @@ let test_cancelled_ranks_record_budget_reason () =
   | v ->
     Alcotest.fail (Format.asprintf "unexpected: %a" Core.Engine.pp_verdict v)
 
+let counter name = Obs.Stats.counter_value (Obs.Stats.counter name)
+
+(* a cancelled cell records a budget_reason attempt, but its allowance
+   did not run out: neither exhaustion counter moves *)
+let check_not_exhausted () =
+  Helpers.check_int "engine.budget_exhausted" 0
+    (counter "engine.budget_exhausted");
+  Helpers.check_int "budget.exhausted.engine" 0
+    (counter "budget.exhausted.engine")
+
 let test_budget_cancel_token_stops_strategies () =
   (* a pre-tripped cancellation token behaves exactly like an expired
      deadline: inconclusive, every attempt budget-starved *)
   let cancel = Atomic.make true in
   let net, _ = Helpers.rand_structured 7 in
   let budget = Obs.Budget.with_cancel (Obs.Budget.create ()) cancel in
+  Obs.Stats.reset ();
   match Core.Engine.verify ~budget net ~target:"t" with
   | Core.Engine.Inconclusive { attempts } ->
     List.iter
       (fun (a : Core.Engine.attempt) ->
         Helpers.check Alcotest.string "reason" Core.Engine.budget_reason
           a.reason)
-      attempts
+      attempts;
+    check_not_exhausted ()
   | v ->
     Alcotest.fail (Format.asprintf "unexpected: %a" Core.Engine.pp_verdict v)
+
+(* the race grid is backend-major: the whole reference ladder outranks
+   every @bdd cell.  So a conclusive reference-only verdict is the
+   race's verdict byte for byte, and where the reference ladder stands
+   down the race reports exactly those attempts first, the bdd
+   fallback's after them (or the fallback's verdict).  "u" is the
+   unhittable twin of "t", so both proofs and counterexamples occur;
+   the tight ladder (no probe, low cutoff, one induction step) makes
+   the reference ladder stand down on some of the "t"s, or conclude
+   on a later rung than the probe. *)
+let prop_race_is_reference_first =
+  Helpers.qtest ~count:15 "race ranks the reference ladder first (jobs 1/2)"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let net, t = Helpers.rand_structured seed in
+      Net.add_target net "u" (Net.add_and net t (Lit.neg t));
+      let tight =
+        {
+          Core.Engine.default with
+          cutoff = 3;
+          probe_depth = 0;
+          recurrence_limit = 2;
+          induction_max_k = 1;
+        }
+      in
+      let is_bdd s = String.ends_with ~suffix:"@bdd" s in
+      let agrees (ladder, target, jobs) =
+        let with_spec spec = { ladder with Core.Engine.backend = Some spec } in
+        let ref_v =
+          Core.Engine.verify
+            ~config:(with_spec (Backend.Single (Backend.reference ())))
+            net ~target
+        in
+        let race_v =
+          Core.Engine.verify_portfolio
+            ~config:
+              (with_spec
+                 (Backend.Race
+                    [
+                      Backend.reference ();
+                      Backend.bdd_oracle ~max_nodes:20_000 ();
+                    ]))
+            ~jobs net ~target
+        in
+        match (ref_v, race_v) with
+        | (Core.Engine.Proved _ | Violated _), _ ->
+          String.equal
+            (Core.Engine.verdict_brief ref_v)
+            (Core.Engine.verdict_brief race_v)
+        | Inconclusive { attempts = ra }, Inconclusive { attempts } ->
+          let brief (a : Core.Engine.attempt) = (a.strategy, a.reason) in
+          let n = List.length ra in
+          let first = List.filteri (fun i _ -> i < n) attempts
+          and rest = List.filteri (fun i _ -> i >= n) attempts in
+          List.map brief first = List.map brief ra
+          && rest <> []
+          && List.for_all
+               (fun (a : Core.Engine.attempt) -> is_bdd a.strategy)
+               rest
+        | Inconclusive _, (Proved { strategy; _ } | Violated { strategy; _ })
+          ->
+          is_bdd strategy
+      in
+      List.for_all agrees
+        (List.concat_map
+           (fun ladder ->
+             List.concat_map
+               (fun target -> [ (ladder, target, 1); (ladder, target, 2) ])
+               [ "t"; "u" ])
+           [ Core.Engine.default; tight ]))
+
+let test_cancelled_race_is_not_exhaustion () =
+  (* the probe refutes rank 0 at once; every other cell of the race is
+     cancelled or never started, and neither is budget exhaustion *)
+  let net = Net.create () in
+  let c = Workload.Gen.counter net ~name:"c" ~bits:2 ~enable:Lit.true_ in
+  Net.add_target net "t" c.Workload.Gen.out;
+  let config =
+    {
+      Core.Engine.default with
+      backend =
+        Some (Backend.Race [ Backend.reference (); Backend.bdd_oracle () ]);
+    }
+  in
+  Obs.Stats.reset ();
+  (match Core.Engine.verify_portfolio ~config ~jobs:2 net ~target:"t" with
+  | Core.Engine.Violated { strategy = "bmc-probe"; _ } -> ()
+  | v ->
+    Alcotest.fail (Format.asprintf "unexpected: %a" Core.Engine.pp_verdict v));
+  check_not_exhausted ()
 
 let test_proof_sink_gets_winner_only () =
   (* certifying portfolio: the sink replays only the winning
@@ -134,6 +236,9 @@ let suite =
       test_portfolio_on_shared_pool;
     Alcotest.test_case "starved ranks record budget_reason" `Quick
       test_cancelled_ranks_record_budget_reason;
+    prop_race_is_reference_first;
+    Alcotest.test_case "cancelled race cells are not exhaustion" `Quick
+      test_cancelled_race_is_not_exhaustion;
     Alcotest.test_case "cancel token stops the ladder" `Quick
       test_budget_cancel_token_stops_strategies;
     Alcotest.test_case "proof sink sees only the winner" `Quick

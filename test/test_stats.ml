@@ -291,6 +291,22 @@ let qcheck_dist_domain_independent =
         (fun sfx -> get "qc.single" sfx = get "qc.multi" sfx)
         [ ".count"; ".p50"; ".p90"; ".p99"; ".max" ])
 
+(* a reservoir outgrows its first allocation without losing a sample:
+   1000 samples 0..999, recorded in a scrambled order *)
+let test_dist_grows () =
+  fresh ();
+  for i = 0 to 999 do
+    Stats.dist "t.grow" (float_of_int (i * 7919 mod 1000))
+  done;
+  let counters = (Stats.snapshot ()).Stats.counters in
+  List.iter
+    (fun (sfx, want) ->
+      Helpers.check_int sfx want (List.assoc ("t.grow" ^ sfx) counters))
+    [
+      (".count", 1000); (".p50", 499); (".p90", 899); (".p99", 989);
+      (".max", 999);
+    ]
+
 let test_pp_human_smoke () =
   fresh ();
   Stats.count "t.k" 2;
@@ -322,5 +338,6 @@ let suite =
     Alcotest.test_case "retired domains fold into the aggregate" `Quick
       test_retired_domains_fold;
     qcheck_dist_domain_independent;
+    Alcotest.test_case "dist reservoir grows" `Quick test_dist_grows;
     Alcotest.test_case "pp_human smoke" `Quick test_pp_human_smoke;
   ]
