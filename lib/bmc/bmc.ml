@@ -31,7 +31,7 @@ let check_lit ?(from = 0) ?budget ?cert ?backend net target ~depth =
   let give_up ~why t =
     (* a backend that cannot run at all is a configuration condition,
        not an exhausted allowance *)
-    if not (Backend.is_unavailable why) then Obs.Budget.note_exhausted "bmc";
+    if not (Backend.is_unavailable why) then Obs.Budget.note_exhausted ?budget "bmc";
     Unknown { after = t - 1; why }
   in
   let expired () =

@@ -93,13 +93,15 @@ let input_controlled net l = controlled_with net (fanout_counts net) l
 let bound_in net ~analysis ~controlled l =
   Obs.Stats.count "bound.targets_analyzed" 1;
   let cone = Coi.of_lits net [ l ] in
+  let in_cone v = cone.(v) in
   let coi_regs =
-    List.length (Coi.regs_in net cone) + List.length (Coi.latches_in net cone)
+    List.length (List.filter in_cone (Net.regs net))
+    + List.length (List.filter in_cone (Net.latches net))
   in
   let analysis = analysis cone in
   let bound =
     if coi_regs = 0 || controlled l then Sat_bound.of_int 1
-    else Compose.bound_for net analysis l
+    else Compose.bound_for net analysis ~seq_cone:cone l
   in
   { bound; analysis; coi_regs }
 
@@ -116,12 +118,15 @@ let target_named net name =
 
 (* For a whole target list, one netlist-level analysis suffices: the
    levelized composition restricts itself to each target's cone, so
-   classifying once is equivalent to classifying per cone. *)
+   classifying once is equivalent to classifying per cone.  The
+   analysis is returned too, so a caller that also wants the
+   netlist's class counts does not classify a second time. *)
 let all_targets net =
   Obs.span "bound.all_targets" (fun () ->
       let analysis = Classify.analyze net in
       let controlled = controlled_with net (fanout_counts net) in
-      List.map
-        (fun (name, l) ->
-          (name, bound_in net ~analysis:(fun _ -> analysis) ~controlled l))
-        (Net.targets net))
+      ( analysis,
+        List.map
+          (fun (name, l) ->
+            (name, bound_in net ~analysis:(fun _ -> analysis) ~controlled l))
+          (Net.targets net) ))

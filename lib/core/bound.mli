@@ -25,5 +25,8 @@ val target : Netlist.Net.t -> Netlist.Lit.t -> t
 val target_named : Netlist.Net.t -> string -> t
 (** @raise Invalid_argument on an unknown target name. *)
 
-val all_targets : Netlist.Net.t -> (string * t) list
+val all_targets : Netlist.Net.t -> Classify.analysis * (string * t) list
+(** Every target's bound from one whole-netlist classification, which
+    is returned alongside (each [t.analysis] is that same value). *)
+
 val input_controlled : Netlist.Net.t -> Netlist.Lit.t -> bool

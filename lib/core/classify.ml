@@ -1,7 +1,6 @@
 module Net = Netlist.Net
 module Lit = Netlist.Lit
 module Sim = Netlist.Sim
-module Coi = Netlist.Coi
 module Scc = Netlist.Scc
 
 type cls = CC | AC | MC of int | QC of int | GC of int
@@ -96,6 +95,36 @@ let constant_regs net within =
     state;
   out
 
+(* ---- combinational cone walks ---- *)
+
+(* Every cone walk of one analysis shares a single visited array, told
+   apart by a per-walk stamp, instead of allocating a [num_vars] array
+   per cone. *)
+type walker = { wnet : Net.t; stamp : int array; mutable cur : int }
+
+let walker net =
+  { wnet = net; stamp = Array.make (Net.num_vars net) (-1); cur = -1 }
+
+(* The inputs and state elements that [Coi.combinational net roots]
+   marks, in no particular order. *)
+let cone_leaves w roots =
+  w.cur <- w.cur + 1;
+  let cur = w.cur in
+  let leaves = ref [] in
+  let rec visit v =
+    if w.stamp.(v) <> cur then begin
+      w.stamp.(v) <- cur;
+      match Net.node w.wnet v with
+      | Net.Const -> ()
+      | Net.And (a, b) ->
+        visit (Lit.var a);
+        visit (Lit.var b)
+      | Net.Input _ | Net.Reg _ | Net.Latch _ -> leaves := v :: !leaves
+    end
+  in
+  List.iter (fun l -> visit (Lit.var l)) roots;
+  !leaves
+
 (* ---- hold-mux (memory cell) detection ---- *)
 
 (* Does [next] encode "sel ? data : r" (value held when not loaded),
@@ -105,11 +134,11 @@ let constant_regs net within =
    from a toggle-like cell (e.g. a counter bit, whose next state
    "loads" a function of itself and which may need exponentially many
    steps).  Returns the select literal on success. *)
-let hold_mux net r next =
+let hold_mux net w r next =
   let self = Lit.make r in
   let independent l =
     (* the combinational walk stops at state elements but marks them *)
-    not (Coi.combinational net [ l ]).(r)
+    not (List.mem r (cone_leaves w [ l ]))
   in
   let as_and l =
     if Lit.is_neg l then None
@@ -173,11 +202,27 @@ let hold_mux net r next =
 (* ---- analysis ---- *)
 
 let analyze ?within net =
+  Obs.span "classify.analyze" @@ fun () ->
   let n = Net.num_vars net in
   let within =
     match within with Some w -> w | None -> Array.make n true
   in
   let elems = state_elems net within in
+  let cones = walker net in
+  let pos = Array.make n (-1) in
+  List.iteri (fun i v -> pos.(v) <- i) elems;
+  (* the state elements a cone reads combinationally, in [elems] order *)
+  let state_reads roots =
+    List.sort
+      (fun a b -> compare pos.(a) pos.(b))
+      (List.filter (fun u -> pos.(u) >= 0) (cone_leaves cones roots))
+  in
+  (* one walk per state element: its combinational state support feeds
+     both the SCC graph and the component edges *)
+  let supports =
+    Array.of_list (List.map (fun v -> state_reads [ data_edge net v ]) elems)
+  in
+  let support v = supports.(pos.(v)) in
   let constants = constant_regs net within in
   (* register dependency graph over non-constant state elements *)
   let live = List.filter (fun v -> not (Hashtbl.mem constants v)) elems in
@@ -187,14 +232,7 @@ let analyze ?within net =
   let nlive = Array.length live_arr in
   let dep_sets =
     Array.map
-      (fun v ->
-        let cone = Coi.combinational net [ data_edge net v ] in
-        List.filter_map
-          (fun s ->
-            if cone.(s) && within.(s) && Hashtbl.mem index s then
-              Some (Hashtbl.find index s)
-            else None)
-          elems)
+      (fun v -> List.filter_map (Hashtbl.find_opt index) (support v))
       live_arr
   in
   let scc = Scc.compute nlive (fun i -> dep_sets.(i)) in
@@ -215,7 +253,7 @@ let analyze ?within net =
     | [ i ] when not (self_dep i) -> AC
     | [ i ] -> (
       let v = live_arr.(i) in
-      match hold_mux net v (data_edge net v) with
+      match hold_mux net cones v (data_edge net v) with
       | Some (sel, data) ->
         Hashtbl.replace cell_select v sel;
         Hashtbl.replace cell_data v data;
@@ -231,21 +269,13 @@ let analyze ?within net =
     (* queue link: another cell inside the LOADED branch's cone (the
        select must not count: a memory gated by a queue is not part of
        the queue) *)
-    let cone = Coi.combinational net [ Hashtbl.find cell_data v ] in
     List.filter
-      (fun w -> w <> v && is_cell w && cone.(w))
-      (state_elems net within)
+      (fun u -> u <> v && is_cell u)
+      (state_reads [ Hashtbl.find cell_data v ])
   in
+  (* the select cone's inputs and state elements *)
   let support_sig v =
-    let sel = Hashtbl.find cell_select v in
-    let cone = Coi.combinational net [ sel ] in
-    let sources = ref [] in
-    Net.iter_nodes net (fun s node ->
-        if cone.(s) then
-          match node with
-          | Net.Input _ | Net.Reg _ | Net.Latch _ -> sources := s :: !sources
-          | Net.Const | Net.And _ -> ());
-    List.sort compare !sources
+    List.sort compare (cone_leaves cones [ Hashtbl.find cell_select v ])
   in
   (* union-find over cells *)
   let parent = Hashtbl.create 32 in
@@ -261,23 +291,26 @@ let analyze ?within net =
     let ra = find a and rb = find b in
     if ra <> rb then Hashtbl.replace parent ra rb
   in
-  let cells = List.filter is_cell (List.map (fun v -> v) live) in
+  let cells = List.filter is_cell live in
   List.iter (fun v -> Hashtbl.replace parent v v) cells;
   (* queue chains *)
   let chain_links = Hashtbl.create 16 in
+  let unlinked = Hashtbl.create 16 in
   List.iter
     (fun v ->
       match direct_pred v with
       | [ w ] ->
         union v w;
         Hashtbl.replace chain_links v w
-      | [] | _ :: _ :: _ -> ())
+      | [] -> Hashtbl.replace unlinked v ()
+      | _ :: _ :: _ -> ())
     cells;
-  (* memories: same select support (only among cells not in chains) *)
+  (* memories: same select support (only among cells with no direct
+     predecessor, so none in a chain) *)
   let by_support = Hashtbl.create 16 in
   List.iter
     (fun v ->
-      if not (Hashtbl.mem chain_links v) && direct_pred v = [] then begin
+      if Hashtbl.mem unlinked v then begin
         let key = support_sig v in
         match Hashtbl.find_opt by_support key with
         | None -> Hashtbl.replace by_support key v
@@ -333,15 +366,13 @@ let analyze ?within net =
         let deps = ref [] in
         List.iter
           (fun v ->
-            let cone = Coi.combinational net [ data_edge net v ] in
             List.iter
               (fun s ->
-                if cone.(s) then
-                  match Hashtbl.find_opt comp_of_reg s with
-                  | Some d when d <> id && not (List.mem d !deps) ->
-                    deps := d :: !deps
-                  | Some _ | None -> ())
-              (state_elems net within))
+                match Hashtbl.find_opt comp_of_reg s with
+                | Some d when d <> id && not (List.mem d !deps) ->
+                  deps := d :: !deps
+                | Some _ | None -> ())
+              (support v))
           regs;
         !deps)
       comps

@@ -13,13 +13,12 @@ let effect cls d =
   | Classify.AC -> Sat_bound.add d 1
   | Classify.MC _ | Classify.QC _ | Classify.GC _ -> Sat_bound.mul d (factor cls)
 
-let bound_for net analysis target =
+let bound_for net analysis ~seq_cone target =
   let comps = analysis.Classify.components in
   (* components whose state elements the target's sequential cone
      reaches, pruned at constant components (a stuck register shields
      whatever feeds it) *)
   let cone = Coi.combinational net [ target ] in
-  let seq_cone = Coi.of_lits net [ target ] in
   (* refine factors by the cone: only the rows/cells a target can
      observe contribute (a shared analysis then agrees with a
      per-cone analysis) *)

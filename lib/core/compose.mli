@@ -24,6 +24,11 @@ val effect : Classify.cls -> Sat_bound.t -> Sat_bound.t
 (** The single-component effect (series composition). *)
 
 val bound_for :
-  Netlist.Net.t -> Classify.analysis -> Netlist.Lit.t -> Sat_bound.t
+  Netlist.Net.t ->
+  Classify.analysis ->
+  seq_cone:bool array ->
+  Netlist.Lit.t ->
+  Sat_bound.t
 (** Diameter bound of a single vertex (target) by levelized
-    composition of the components its sequential cone reaches. *)
+    composition of the components its sequential cone reaches;
+    [seq_cone] is that cone, [Coi.of_lits net [target]]. *)

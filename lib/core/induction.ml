@@ -68,7 +68,7 @@ let prove ?(max_k = 32) ?(unique = true) ?budget ?cert ?backend net ~target =
   in
   let give_up ?(why = Backend.budget_reason) k =
     if not (Backend.is_unavailable why) then
-      Obs.Budget.note_exhausted "induction";
+      Obs.Budget.note_exhausted ?budget "induction";
     Exhausted { k; why }
   in
   let expired () =

@@ -47,6 +47,7 @@ let record_reduction name ~before ~after =
 
 let report_on name net translator_of =
   let s = slug name in
+  let analysis, bounds = Bound.all_targets net in
   let targets =
     List.map
       (fun (tname, b) ->
@@ -59,11 +60,11 @@ let report_on name net translator_of =
           (Printf.sprintf "bound.%s.%s.translated" s tname)
           translated;
         { target = tname; raw_bound = b.Bound.bound; bound = translated; translator })
-      (Bound.all_targets net)
+      bounds
   in
   {
     pipeline = name;
-    reg_counts = Classify.netlist_counts net;
+    reg_counts = Classify.counts_of analysis;
     targets;
     final = net;
   }

@@ -69,9 +69,9 @@ let target_distances net target =
   done;
   dist
 
-let gave_up ?(why = Backend.budget_reason) k sat_calls =
+let gave_up ?(why = Backend.budget_reason) ?budget k sat_calls =
   if not (Backend.is_unavailable why) then
-    Obs.Budget.note_exhausted "recurrence";
+    Obs.Budget.note_exhausted ?budget "recurrence";
   {
     bound = Sat_bound.huge;
     path_length = k - 1;
@@ -101,7 +101,7 @@ let plain ~limit ?budget ?cert ?backend net target regs =
         exhausted = false;
         why = None;
       }
-    else if expired budget then gave_up k !sat_calls
+    else if expired budget then gave_up ?budget k !sat_calls
     else begin
       for i = 0 to k - 1 do
         Encode.Frame.distinct solver fst snd
@@ -119,7 +119,7 @@ let plain ~limit ?budget ?cert ?backend net target regs =
           exhausted = false;
         why = None;
         }
-      | Solver.Unknown why -> gave_up ~why k !sat_calls
+      | Solver.Unknown why -> gave_up ~why ?budget k !sat_calls
     end
   in
   extend 1
@@ -150,7 +150,7 @@ let bounded ~limit ?budget ?cert ?backend net target regs =
         exhausted = false;
         why = None;
       }
-    else if expired budget then gave_up k !sat_calls
+    else if expired budget then gave_up ?budget k !sat_calls
     else begin
       let solver = Backend.solver_of backend in
       (* each k is a fresh encoding, so a fresh proof; only the final
@@ -186,7 +186,7 @@ let bounded ~limit ?budget ?cert ?backend net target regs =
           exhausted = false;
         why = None;
         }
-      | Solver.Unknown why -> gave_up ~why k !sat_calls
+      | Solver.Unknown why -> gave_up ~why ?budget k !sat_calls
     end
   in
   extend 1

@@ -98,7 +98,7 @@ let solve ?assumptions ?budget ?(span = "sat.solve") solver =
   | Solver.Sat -> Obs.Stats.count "sat.sat_results" 1
   | Solver.Unknown why ->
     Obs.Stats.count "sat.unknowns" 1;
-    if not (Backend.is_unavailable why) then Obs.Budget.note_exhausted "sat"
+    if not (Backend.is_unavailable why) then Obs.Budget.note_exhausted ?budget "sat"
   | Solver.Unsat -> ());
   Obs.Stats.count "sat.conflicts" (s1.Backend.conflicts - s0.Backend.conflicts);
   Obs.Stats.count "sat.decisions" (s1.Backend.decisions - s0.Backend.decisions);

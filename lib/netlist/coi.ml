@@ -18,13 +18,10 @@ let walk ~through_state t roots =
 let of_lits t roots = walk ~through_state:true t roots
 let combinational t roots = walk ~through_state:false t roots
 
-let members_in pred t seen =
+let regs_in t seen =
   let out = ref [] in
-  Net.iter_nodes t (fun v _ -> if seen.(v) && pred t v then out := v :: !out);
+  Net.iter_nodes t (fun v _ -> if seen.(v) && Net.is_reg t v then out := v :: !out);
   List.rev !out
-
-let regs_in t seen = members_in Net.is_reg t seen
-let latches_in t seen = members_in Net.is_latch t seen
 
 let size seen =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen

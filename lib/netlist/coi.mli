@@ -16,5 +16,4 @@ val combinational : Net.t -> Lit.t list -> bool array
 val regs_in : Net.t -> bool array -> int list
 (** Register variables marked in a cone, in creation order. *)
 
-val latches_in : Net.t -> bool array -> int list
 val size : bool array -> int

@@ -89,7 +89,10 @@ let slice t ~ways =
       let share = rem /. float_of_int (max 1 ways) in
       { t with deadline = Some (now +. share); tripped = false }
 
-let note_exhausted layer = Stats.count ("budget.exhausted." ^ layer) 1
+let note_exhausted ?budget layer =
+  match budget with
+  | Some t when cancelled t -> ()
+  | Some _ | None -> Stats.count ("budget.exhausted." ^ layer) 1
 
 let pp ppf t =
   if is_unlimited t then Format.fprintf ppf "unlimited"

@@ -21,7 +21,8 @@
 
     Exhaustion events are counted in {!Stats} under
     ["budget.deadline_expired"] / ["budget.cancelled"] (once per budget
-    value) and ["budget.exhausted.<layer>"] (once per stand-down). *)
+    value) and ["budget.exhausted.<layer>"] (once per stand-down whose
+    budget was not cancelled). *)
 
 type t
 
@@ -81,8 +82,10 @@ val slice : t -> ways:int -> t
     (still expired / still free).  Used by the engine to give each
     remaining strategy a fair share of the total deadline. *)
 
-val note_exhausted : string -> unit
+val note_exhausted : ?budget:t -> string -> unit
 (** Record a budget-driven stand-down in the named layer: bumps
-    ["budget.exhausted.<layer>"]. *)
+    ["budget.exhausted.<layer>"] — unless [budget], the budget the
+    layer ran under, has been cancelled: a run stood down by a lower
+    conclusive rank did not run out of its allowance. *)
 
 val pp : Format.formatter -> t -> unit

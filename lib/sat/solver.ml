@@ -75,15 +75,29 @@ type t = {
   chaos : Chaos.instance;
 }
 
+(* A boolean environment flag, read on first use.  Not a [Lazy]:
+   solvers run on several domains at once, and two domains forcing one
+   suspension together raise [CamlinternalLazy.Undefined]; reading the
+   variable twice is harmless. *)
+let env_flag name =
+  let cached = Atomic.make None in
+  fun () ->
+    match Atomic.get cached with
+    | Some b -> b
+    | None ->
+      let b =
+        match Sys.getenv_opt name with
+        | Some ("1" | "true" | "yes") -> true
+        | _ -> false
+      in
+      Atomic.set cached (Some b);
+      b
+
 (* Inprocessing default: process-global, captured per solver instance
    at creation (like Chaos) so concurrent solvers stay independent.
    The CLI tools set it from [--no-inprocess]; otherwise the
    [DIAMBOUND_NO_INPROCESS] environment variable decides. *)
-let env_no_inprocess =
-  lazy
-    (match Sys.getenv_opt "DIAMBOUND_NO_INPROCESS" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
+let env_no_inprocess = env_flag "DIAMBOUND_NO_INPROCESS"
 
 let inprocess_override = ref None
 let set_inprocess_default b = inprocess_override := Some b
@@ -91,7 +105,7 @@ let set_inprocess_default b = inprocess_override := Some b
 let inprocess_default () =
   match !inprocess_override with
   | Some b -> b
-  | None -> not (Lazy.force env_no_inprocess)
+  | None -> not (env_no_inprocess ())
 
 let create ?inprocess () =
   {
@@ -950,11 +964,7 @@ let check_model ?(assumptions = []) s =
    cross-checked before it leaves [solve] (and before any armed fault
    corrupts the report).  A failure here is a solver bug, not an
    injected fault, so it raises instead of degrading. *)
-let debug_check_model =
-  lazy
-    (match Sys.getenv_opt "DIAMBOUND_CHECK_MODEL" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
+let debug_check_model = env_flag "DIAMBOUND_CHECK_MODEL"
 
 (* Extend a model over eliminated variables: replay the elimination
    stack backwards, flipping each variable's saved phase whenever one
@@ -1052,7 +1062,7 @@ let solve ?(assumptions = []) ?max_conflicts ?max_propagations ?should_stop s =
     final := !result
   end;
   s.last_solve_sat <- !final = Sat;
-  if s.last_solve_sat && Lazy.force debug_check_model then begin
+  if s.last_solve_sat && debug_check_model () then begin
     match check_model ~assumptions s with
     | Ok () -> ()
     | Error msg -> failwith ("DIAMBOUND_CHECK_MODEL: " ^ msg)

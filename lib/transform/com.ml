@@ -124,7 +124,7 @@ let run ?(seed = 0x5eed) ?(sim_steps = 31) ?(max_rounds = 8) ?budget ?inprocess 
   let expired () =
     match budget with
     | Some b when Obs.Budget.expired b ->
-      Obs.Budget.note_exhausted "com";
+      Obs.Budget.note_exhausted ~budget:b "com";
       true
     | _ -> false
   in

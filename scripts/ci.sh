@@ -214,6 +214,24 @@ for snap in "$tmpdir/ring5.json" "$tmpdir/corpus.json"; do
 done
 echo "ci: per-layer span rows ok"
 
+# One classification per report: a pipeline classifies its final
+# netlist once, inside bound.all_targets, and takes its register-class
+# counts from that same analysis — a second classify.analyze call is
+# the whole-netlist analysis done twice.
+for f in examples/*.bench; do
+  for p in original com com-ret-com; do
+    timeout 60 dune exec bin/diam_tool.exe -- "$f" --pipeline "$p" \
+      --stats-json "$tmpdir/classify.json" > /dev/null \
+      || { echo "ci: $f --pipeline $p failed (FAIL)"; exit 1; }
+    calls=$(grep -oE '"classify\.analyze": *\{"calls": *[0-9]+' \
+      "$tmpdir/classify.json" | grep -oE '[0-9]+$' || true)
+    [ "$calls" = 1 ] \
+      || { echo "ci: $f --pipeline $p classified ${calls:-0} times, want 1 (FAIL)"; \
+           exit 1; }
+  done
+done
+echo "ci: one analysis per report ok"
+
 # Fuzz smoke: a fixed-seed campaign on a healthy build must report
 # zero findings — each design runs through the differential oracle
 # matrix (ladder / no-inprocessing / portfolio / expired budget), so

@@ -2,9 +2,11 @@
    fixed configuration and prints its verdict and the Obs.Stats
    counters it moved (SAT solves, conflicts, propagations and
    decisions, encoded clauses and variables, BMC depths, engine
-   tallies).  The work is deterministic, so [dune runtest] diffs this
-   output against the committed counts.expected and any change to the
-   solver's, the BMC loop's or the engine's work fails that test.
+   tallies, and the Table 1/2 bounding pass: targets below the cutoff,
+   register classes, reductions).  The work is deterministic, so
+   [dune runtest] diffs this output against the committed
+   counts.expected and any change to the solver's, the BMC loop's,
+   the engine's or the bounding pass's work fails that test.
    After an intended change, [dune promote] updates the snapshot and
    the change says why in CHANGES.md.
 
@@ -32,16 +34,16 @@ let fail fmt =
     fmt
 
 (* Zero the registry, run [f], print [label] with the verdict text [f]
-   returns, then every non-zero counter except the scheduler's (its
-   dispatch counts follow the machine, not the work). *)
-let arm label f =
+   returns, then every non-zero counter that [keep] selects — by
+   default all but the scheduler's (its dispatch counts follow the
+   machine, not the work). *)
+let arm ?(keep = fun name -> not (String.starts_with ~prefix:"sched." name))
+    label f =
   Obs.Stats.reset ();
   let r, verdict = f () in
   Format.printf "%s: %s@." label verdict;
   List.iter
-    (fun (name, n) ->
-      if n <> 0 && not (String.starts_with ~prefix:"sched." name) then
-        Format.printf "  %s %d@." name n)
+    (fun (name, n) -> if n <> 0 && keep name then Format.printf "  %s %d@." name n)
     (Obs.Stats.snapshot ()).Obs.Stats.counters;
   r
 
@@ -219,6 +221,69 @@ let corpus_arm dir =
                    i.Campaign.Corpus.outcome)
                summary.Campaign.Corpus.items) ))
 
+(* ----- the bounding pass of Tables 1 and 2 ----- *)
+
+let cutoff = 50
+
+(* bounding and reduction counters only; the per-target bound gauges
+   ("bound.<pipeline>.<target>.raw") keep just the last design's value
+   of each name, and the sums printed with the verdict cover the bounds
+   of every design *)
+let table_counter name =
+  match String.split_on_char '.' name with
+  | [ "bound"; _ ] | "pipeline" :: _ -> true
+  | _ -> false
+
+(* Each pipeline of the paper's table over a whole design family under
+   a fresh 2000-conflict allowance per run: the verdict is the number
+   of targets bounded below [cutoff] and the register-class sums
+   (CC;AC;MC+QC;GC), and the counters are the bounding and reduction
+   work. *)
+let table_arms family nets =
+  List.iter
+    (fun (name, run) ->
+      arm ~keep:table_counter
+        (Printf.sprintf "%s %s" family name)
+        (fun () ->
+          let small = ref 0 and total = ref 0 in
+          let sum = ref { Core.Classify.cc = 0; ac = 0; table = 0; gc = 0 } in
+          List.iter
+            (fun net ->
+              let r = run (Obs.Budget.create ~conflicts:2000 ()) net in
+              let s = Core.Pipeline.summarize ~cutoff r in
+              let c = r.Core.Pipeline.reg_counts and t = !sum in
+              small := !small + s.Core.Pipeline.proved_small;
+              total := !total + s.Core.Pipeline.total;
+              sum :=
+                {
+                  cc = t.cc + c.cc;
+                  ac = t.ac + c.ac;
+                  table = t.table + c.table;
+                  gc = t.gc + c.gc;
+                })
+            nets;
+          ( (),
+            Format.asprintf "|T'| %d/%d R %a" !small !total
+              Core.Classify.pp_counts !sum )))
+    [
+      ("Original", fun _ net -> Core.Pipeline.original net);
+      ("COM", fun budget net -> Core.Pipeline.com ~budget net);
+      ("COM,RET,COM", fun budget net -> Core.Pipeline.com_ret_com ~budget net);
+    ]
+
+let tables_arms () =
+  table_arms "table1" (List.map Workload.Iscas.build Workload.Iscas.profiles);
+  let gp =
+    arm ~keep:table_counter "table2 phase" (fun () ->
+        let nets =
+          List.map
+            (fun p -> fst (Core.Pipeline.phase_front (Workload.Gp.build p)))
+            Workload.Gp.profiles
+        in
+        (nets, Printf.sprintf "%d designs" (List.length nets)))
+  in
+  table_arms "table2" gp
+
 let () =
   let dir =
     match Sys.argv with
@@ -232,4 +297,5 @@ let () =
   bmc_arms ();
   ladder_arms ();
   corpus_arm dir;
+  tables_arms ();
   if !inconsistent then exit 1

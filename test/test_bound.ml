@@ -161,7 +161,7 @@ let prop_all_targets_agrees_with_target =
     QCheck.(int_bound 1000000)
     (fun seed ->
       let net, _ = Helpers.rand_structured seed in
-      let shared = Core.Bound.all_targets net in
+      let _, shared = Core.Bound.all_targets net in
       List.for_all
         (fun (name, b) ->
           let solo = Core.Bound.target_named net name in

@@ -150,6 +150,124 @@ let prop_every_reg_in_a_component =
         (fun v -> Hashtbl.mem a.Core.Classify.of_reg v)
         (Net.regs net))
 
+(* The reference dependency relation: one full [Coi.combinational]
+   walk of each state element's data edge, the state elements it marks
+   listed in creation order (registers, then latches). *)
+let reference_support net elems v =
+  let data =
+    match Net.node net v with
+    | Net.Reg r -> r.Net.next
+    | Net.Latch l -> l.Net.l_data
+    | Net.Const | Net.Input _ | Net.And _ -> assert false
+  in
+  let cone = Netlist.Coi.combinational net [ data ] in
+  List.filter (fun s -> cone.(s)) elems
+
+(* [analyze ?within net] against the reference walk: every component's
+   dependency edges (in order), and the SCC partition behind the AC
+   and GC components (memory/queue clusters are unions of singleton
+   SCCs, constants are outside the graph). *)
+let agrees_with_reference ?within net =
+  let a = Core.Classify.analyze ?within net in
+  let within =
+    Option.value within ~default:(Array.make (Net.num_vars net) true)
+  in
+  let elems =
+    List.filter (fun v -> within.(v)) (Net.regs net @ Net.latches net)
+  in
+  let support = Hashtbl.create 64 in
+  List.iter
+    (fun v -> Hashtbl.replace support v (reference_support net elems v))
+    elems;
+  let comps = a.Core.Classify.components in
+  let deps_agree =
+    Array.for_all Fun.id
+      (Array.mapi
+         (fun id c ->
+           let deps = ref [] in
+           List.iter
+             (fun v ->
+               List.iter
+                 (fun s ->
+                   match Hashtbl.find_opt a.Core.Classify.of_reg s with
+                   | Some d when d <> id && not (List.mem d !deps) ->
+                     deps := d :: !deps
+                   | Some _ | None -> ())
+                 (Hashtbl.find support v))
+             c.Core.Classify.regs;
+           !deps = c.Core.Classify.deps)
+         comps)
+  in
+  let constants = Core.Classify.constant_regs net within in
+  let live =
+    Array.of_list (List.filter (fun v -> not (Hashtbl.mem constants v)) elems)
+  in
+  let index = Hashtbl.create 64 in
+  Array.iteri (fun i v -> Hashtbl.replace index v i) live;
+  let scc =
+    Netlist.Scc.compute (Array.length live) (fun i ->
+        List.filter_map (Hashtbl.find_opt index)
+          (Hashtbl.find support live.(i)))
+  in
+  let cls_of v = comps.(Hashtbl.find a.Core.Classify.of_reg v).Core.Classify.cls in
+  let is_table v =
+    match cls_of v with
+    | Core.Classify.MC _ | Core.Classify.QC _ -> true
+    | Core.Classify.CC | Core.Classify.AC | Core.Classify.GC _ -> false
+  in
+  let expected =
+    List.filter
+      (function [ v ] -> not (is_table v) | _ -> true)
+      (Array.to_list
+         (Array.map
+            (fun m -> Array.to_list (Array.map (fun i -> live.(i)) m))
+            scc.Netlist.Scc.members))
+  in
+  let actual =
+    List.filter_map
+      (fun c ->
+        match c.Core.Classify.cls with
+        | Core.Classify.AC | Core.Classify.GC _ -> Some c.Core.Classify.regs
+        | Core.Classify.CC | Core.Classify.MC _ | Core.Classify.QC _ -> None)
+      (Array.to_list comps)
+  in
+  (* an acyclic component is exactly a singleton SCC without a self
+     edge *)
+  let acyclic_agree =
+    Array.for_all
+      (fun c ->
+        match (c.Core.Classify.cls, c.Core.Classify.regs) with
+        | Core.Classify.AC, [ v ] -> not (List.mem v (Hashtbl.find support v))
+        | Core.Classify.AC, _ -> false
+        | (Core.Classify.CC | Core.Classify.MC _ | Core.Classify.QC _
+          | Core.Classify.GC _), _ ->
+          true)
+      comps
+  in
+  deps_agree && expected = actual && acyclic_agree
+
+let prop_analysis_matches_reference_walk =
+  Helpers.qtest ~count:80 "analysis matches one cone walk per register"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let net, t = Helpers.rand_structured seed in
+      agrees_with_reference net
+      && agrees_with_reference ~within:(Netlist.Coi.of_lits net [ t ]) net)
+
+let prop_pipeline_counts_classify_final =
+  Helpers.qtest ~count:30 "pipeline reg_counts classify the final netlist"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let net, _ = Helpers.rand_structured seed in
+      List.for_all
+        (fun r ->
+          r.Core.Pipeline.reg_counts = counts r.Core.Pipeline.final)
+        [
+          Core.Pipeline.original net;
+          Core.Pipeline.com net;
+          Core.Pipeline.com_ret_com net;
+        ])
+
 let suite =
   [
     Alcotest.test_case "pipeline -> AC" `Quick test_pipeline_is_ac;
@@ -163,4 +281,6 @@ let suite =
     Alcotest.test_case "latch netlists classify" `Quick test_latch_classification;
     prop_counts_partition_registers;
     prop_every_reg_in_a_component;
+    prop_analysis_matches_reference_walk;
+    prop_pipeline_counts_classify_final;
   ]
