@@ -88,27 +88,26 @@ let controlled_with net fanouts l =
 
 let input_controlled net l = controlled_with net (fanout_counts net) l
 
-(* the per-target body shared by [target] and [all_targets];
-   [analysis] maps the target's cone to its classification *)
-let bound_in net ~analysis ~controlled l =
+(* the per-target body shared by [target] and [all_targets]: one
+   stamped walk of the target's sequential cone on [walker] gives its
+   state elements, its membership and the leaves of its combinational
+   cone, so the work is proportional to the cone; [analysis] maps the
+   cone to its classification *)
+let bound_in walker ~analysis ~controlled l =
   Obs.Stats.count "bound.targets_analyzed" 1;
-  let cone = Coi.of_lits net [ l ] in
-  let in_cone v = cone.(v) in
-  let coi_regs =
-    List.length (List.filter in_cone (Net.regs net))
-    + List.length (List.filter in_cone (Net.latches net))
-  in
+  let cone = Coi.walk walker ~through_state:true [ l ] in
+  let coi_regs = List.length (Coi.state_elems cone) in
   let analysis = analysis cone in
   let bound =
     if coi_regs = 0 || controlled l then Sat_bound.of_int 1
-    else Compose.bound_for net analysis ~seq_cone:cone l
+    else Compose.bound_for analysis cone
   in
   { bound; analysis; coi_regs }
 
 let target net l =
   Obs.span "bound.target" (fun () ->
-      bound_in net
-        ~analysis:(fun cone -> Classify.analyze ~within:cone net)
+      bound_in (Coi.walker net)
+        ~analysis:(fun cone -> Classify.analyze ~within:(Coi.mem cone) net)
         ~controlled:(input_controlled net) l)
 
 let target_named net name =
@@ -125,8 +124,9 @@ let all_targets net =
   Obs.span "bound.all_targets" (fun () ->
       let analysis = Classify.analyze net in
       let controlled = controlled_with net (fanout_counts net) in
+      let walker = Coi.walker net in
       ( analysis,
         List.map
           (fun (name, l) ->
-            (name, bound_in net ~analysis:(fun _ -> analysis) ~controlled l))
+            (name, bound_in walker ~analysis:(fun _ -> analysis) ~controlled l))
           (Net.targets net) ))

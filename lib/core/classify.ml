@@ -2,6 +2,7 @@ module Net = Netlist.Net
 module Lit = Netlist.Lit
 module Sim = Netlist.Sim
 module Scc = Netlist.Scc
+module Coi = Netlist.Coi
 
 type cls = CC | AC | MC of int | QC of int | GC of int
 
@@ -38,7 +39,7 @@ let eval_comb net within state =
     if Lit.is_neg l then Sim.v_not v else v
   in
   Net.iter_nodes net (fun v node ->
-      if within.(v) then
+      if within v then
         match node with
         | Net.Const -> vals.(v) <- Sim.V0
         | Net.Input _ -> vals.(v) <- Sim.Vx
@@ -47,7 +48,7 @@ let eval_comb net within state =
   vals
 
 let state_elems net within =
-  List.filter (fun v -> within.(v)) (Net.regs net @ Net.latches net)
+  List.filter within (Net.regs net @ Net.latches net)
 
 let data_edge net v =
   match Net.node net v with
@@ -95,35 +96,10 @@ let constant_regs net within =
     state;
   out
 
-(* ---- combinational cone walks ---- *)
-
-(* Every cone walk of one analysis shares a single visited array, told
-   apart by a per-walk stamp, instead of allocating a [num_vars] array
-   per cone. *)
-type walker = { wnet : Net.t; stamp : int array; mutable cur : int }
-
-let walker net =
-  { wnet = net; stamp = Array.make (Net.num_vars net) (-1); cur = -1 }
-
 (* The inputs and state elements that [Coi.combinational net roots]
-   marks, in no particular order. *)
-let cone_leaves w roots =
-  w.cur <- w.cur + 1;
-  let cur = w.cur in
-  let leaves = ref [] in
-  let rec visit v =
-    if w.stamp.(v) <> cur then begin
-      w.stamp.(v) <- cur;
-      match Net.node w.wnet v with
-      | Net.Const -> ()
-      | Net.And (a, b) ->
-        visit (Lit.var a);
-        visit (Lit.var b)
-      | Net.Input _ | Net.Reg _ | Net.Latch _ -> leaves := v :: !leaves
-    end
-  in
-  List.iter (fun l -> visit (Lit.var l)) roots;
-  !leaves
+   marks, in no particular order.  Every walk of one analysis shares
+   the walker [w]. *)
+let cone_leaves w roots = Coi.leaves (Coi.walk w ~through_state:false roots)
 
 (* ---- hold-mux (memory cell) detection ---- *)
 
@@ -204,11 +180,9 @@ let hold_mux net w r next =
 let analyze ?within net =
   Obs.span "classify.analyze" @@ fun () ->
   let n = Net.num_vars net in
-  let within =
-    match within with Some w -> w | None -> Array.make n true
-  in
+  let within = match within with Some w -> w | None -> fun _ -> true in
   let elems = state_elems net within in
-  let cones = walker net in
+  let cones = Coi.walker net in
   let pos = Array.make n (-1) in
   List.iteri (fun i v -> pos.(v) <- i) elems;
   (* the state elements a cone reads combinationally, in [elems] order *)

@@ -47,9 +47,10 @@ type counts = { cc : int; ac : int; table : int; gc : int }
 (** Register population per class; [table] counts MC and QC cells
     ("table cells" in the paper's terminology). *)
 
-val analyze : ?within:bool array -> Netlist.Net.t -> analysis
-(** Classify the registers of [net], restricted to the vertices marked
-    in [within] (default: the whole netlist). *)
+val analyze : ?within:(int -> bool) -> Netlist.Net.t -> analysis
+(** Classify the registers of [net], restricted to the vertices in
+    [within] (default: the whole netlist), e.g. [Coi.mem] of a
+    target's cone. *)
 
 val counts_of : analysis -> counts
 val netlist_counts : Netlist.Net.t -> counts
@@ -57,6 +58,6 @@ val netlist_counts : Netlist.Net.t -> counts
     Tables 1 and 2. *)
 
 val pp_counts : Format.formatter -> counts -> unit
-val constant_regs : Netlist.Net.t -> bool array -> (int, bool) Hashtbl.t
+val constant_regs : Netlist.Net.t -> (int -> bool) -> (int, bool) Hashtbl.t
 (** Ternary-fixpoint constant detection: register variable -> stuck
     value, for registers within the cone. *)

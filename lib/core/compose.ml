@@ -1,4 +1,3 @@
-module Net = Netlist.Net
 module Coi = Netlist.Coi
 
 let factor cls =
@@ -13,37 +12,29 @@ let effect cls d =
   | Classify.AC -> Sat_bound.add d 1
   | Classify.MC _ | Classify.QC _ | Classify.GC _ -> Sat_bound.mul d (factor cls)
 
-let bound_for net analysis ~seq_cone target =
+let bound_for analysis cone =
   let comps = analysis.Classify.components in
-  (* components whose state elements the target's sequential cone
-     reaches, pruned at constant components (a stuck register shields
-     whatever feeds it) *)
-  let cone = Coi.combinational net [ target ] in
   (* refine factors by the cone: only the rows/cells a target can
      observe contribute (a shared analysis then agrees with a
      per-cone analysis) *)
   let refined c =
-    let members =
-      List.filter (fun v -> seq_cone.(v)) comps.(c).Classify.regs
-    in
+    let members () = List.filter (Coi.mem cone) comps.(c).Classify.regs in
     match comps.(c).Classify.cls with
     | Classify.MC _ ->
       let keys =
         List.sort_uniq compare
           (List.filter_map
              (fun v -> Hashtbl.find_opt analysis.Classify.cell_key v)
-             members)
+             (members ()))
       in
       Classify.MC (max 1 (List.length keys))
-    | Classify.QC _ -> Classify.QC (max 1 (List.length members))
+    | Classify.QC _ -> Classify.QC (max 1 (List.length (members ())))
     | (Classify.CC | Classify.AC | Classify.GC _) as cls -> cls
   in
-  let roots = ref [] in
-  Net.iter_nodes net (fun v _ ->
-      if cone.(v) then
-        match Hashtbl.find_opt analysis.Classify.of_reg v with
-        | Some c when not (List.mem c !roots) -> roots := c :: !roots
-        | Some _ | None -> ());
+  (* components whose state elements the target's sequential cone
+     reaches, pruned at constant components (a stuck register shields
+     whatever feeds it): the walk starts from the components of the
+     state elements the target reads combinationally *)
   let in_cone = Hashtbl.create 16 in
   let rec reach c =
     if not (Hashtbl.mem in_cone c) then begin
@@ -52,7 +43,9 @@ let bound_for net analysis ~seq_cone target =
         List.iter reach comps.(c).Classify.deps
     end
   in
-  List.iter reach !roots;
+  List.iter
+    (fun v -> Option.iter reach (Hashtbl.find_opt analysis.Classify.of_reg v))
+    (Coi.leaves cone);
   (* levelize over the restricted DAG; clustering can in principle
      create dependency cycles, in which case the affected components
      saturate (sound: the composition diverges) *)

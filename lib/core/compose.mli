@@ -23,12 +23,9 @@
 val effect : Classify.cls -> Sat_bound.t -> Sat_bound.t
 (** The single-component effect (series composition). *)
 
-val bound_for :
-  Netlist.Net.t ->
-  Classify.analysis ->
-  seq_cone:bool array ->
-  Netlist.Lit.t ->
-  Sat_bound.t
+val bound_for : Classify.analysis -> Netlist.Coi.cone -> Sat_bound.t
 (** Diameter bound of a single vertex (target) by levelized
-    composition of the components its sequential cone reaches;
-    [seq_cone] is that cone, [Coi.of_lits net [target]]. *)
+    composition of the components its sequential cone reaches; the
+    cone is the target's, [Coi.walk ~through_state:true [target]].
+    The work is proportional to the cone and the components it
+    reaches. *)

@@ -14,7 +14,9 @@
     target for the ISCAS89 experiments). *)
 
 val parse : string -> Netlist.Net.t
-(** @raise Parse_error.Parse_error on malformed input, with the
+(** Runs under the [textio.parse] span, with the text's [bytes] and
+    the netlist's [vars] as result attributes.
+    @raise Parse_error.Parse_error on malformed input, with the
     1-based line of the offending declaration. *)
 
 val parse_file : string -> Netlist.Net.t

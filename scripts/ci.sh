@@ -8,6 +8,13 @@ cd "$(dirname "$0")/.."
 timeout 300 dune build
 timeout 900 dune runtest
 
+# Deep netlists: a 100k-deep forward-referenced chain must parse and
+# walk with the stack capped at 1M words, where recursion overflows.
+# Run the built binary directly so the cap does not apply to dune.
+OCAMLRUNPARAM=l=1M timeout 120 _build/default/test/deep/deep.exe \
+  || { echo "ci: deep netlist parse (FAIL)"; exit 1; }
+echo "ci: deep netlist ok"
+
 # Smoke-test the resource governance end to end: a 1-second deadline
 # on a real design must come back promptly with a definite verdict
 # (0/1) or an explicit inconclusive (3) — anything else is a bug.

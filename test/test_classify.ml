@@ -168,7 +168,7 @@ let reference_support net elems v =
    and GC components (memory/queue clusters are unions of singleton
    SCCs, constants are outside the graph). *)
 let agrees_with_reference ?within net =
-  let a = Core.Classify.analyze ?within net in
+  let a = Core.Classify.analyze ?within:(Option.map Array.get within) net in
   let within =
     Option.value within ~default:(Array.make (Net.num_vars net) true)
   in
@@ -198,7 +198,7 @@ let agrees_with_reference ?within net =
            !deps = c.Core.Classify.deps)
          comps)
   in
-  let constants = Core.Classify.constant_regs net within in
+  let constants = Core.Classify.constant_regs net (Array.get within) in
   let live =
     Array.of_list (List.filter (fun v -> not (Hashtbl.mem constants v)) elems)
   in

@@ -53,6 +53,54 @@ let prop_cone_closed =
               (Net.fanins net v));
       !ok)
 
+(* The stamped walker against the bool-array walks: on random nets,
+   several walks in a row on one walker mark exactly the vertices of
+   [of_lits] / [combinational], [leaves] lists the inputs and state
+   elements of the combinational cone, and [state_elems] the state
+   elements of the walked cone. *)
+let prop_walker_matches =
+  Helpers.qtest ~count:60 "stamped walks match the bool-array walks"
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let net, t = Helpers.rand_net_with_target seed ~inputs:3 ~regs:4 ~gates:12 in
+      let n = Net.num_vars net in
+      let w = Coi.walker net in
+      let sorted l = List.sort compare l in
+      let marked cone p = List.filter (fun v -> cone.(v) && p v) (List.init n Fun.id) in
+      let leaf v =
+        match Net.node net v with
+        | Net.Input _ | Net.Reg _ | Net.Latch _ -> true
+        | Net.Const | Net.And _ -> false
+      in
+      let agree roots =
+        let seq = Coi.of_lits net roots and comb = Coi.combinational net roots in
+        let c = Coi.walk w ~through_state:true roots in
+        let seq_ok =
+          List.for_all (fun v -> Coi.mem c v = seq.(v)) (List.init n Fun.id)
+          && sorted (Coi.leaves c) = marked comb leaf
+          && sorted (Coi.state_elems c) = marked seq (Net.is_state net)
+        in
+        let c = Coi.walk w ~through_state:false roots in
+        seq_ok
+        && List.for_all (fun v -> Coi.mem c v = comb.(v)) (List.init n Fun.id)
+        && sorted (Coi.leaves c) = marked comb leaf
+        && sorted (Coi.state_elems c) = marked comb (Net.is_state net)
+      in
+      agree [ t ]
+      && List.for_all (fun v -> agree [ Lit.make v ]) (Net.regs net)
+      && agree (List.map (fun v -> Lit.make_neg v) (Net.inputs net))
+      && agree [])
+
+let test_stale_cone () =
+  let net, _, _, r1, r2, _ = fixture () in
+  let w = Coi.walker net in
+  let c = Coi.walk w ~through_state:true [ r2 ] in
+  Helpers.check_bool "fresh cone readable" true (Coi.mem c (Lit.var r1));
+  ignore (Coi.walk w ~through_state:false [ r1 ]);
+  Alcotest.check_raises "stale cone"
+    (Invalid_argument "Coi.mem: the walker has walked since") (fun () ->
+      ignore (Coi.mem c (Lit.var r1)))
+
 let suite =
   [
     Alcotest.test_case "sequential cone" `Quick test_sequential_cone;
@@ -60,4 +108,6 @@ let suite =
       test_combinational_stops_at_state;
     Alcotest.test_case "disjoint roots" `Quick test_disjoint_roots;
     prop_cone_closed;
+    prop_walker_matches;
+    Alcotest.test_case "stale cone" `Quick test_stale_cone;
   ]

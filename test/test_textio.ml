@@ -49,39 +49,72 @@ let test_parse_sequential_cycle () =
   Helpers.check_bool "toggle" true (got = [ Sim.V0; Sim.V1; Sim.V0 ])
 
 (* every malformed input raises Parse_error carrying the 1-based line
-   of the offending declaration — the CLI renders it "file:line: msg" *)
-let expect_parse_error ~line:expected text =
+   of the offending declaration and a fixed message — the CLI renders
+   it "file:line: msg", so both are pinned *)
+let expect_parse_error ~line:expected ~msg:expected_msg text =
   match Textio.Bench_io.parse text with
   | exception Textio.Parse_error { line; msg } ->
-    Alcotest.(check int) (Printf.sprintf "line of %S" msg) expected line
+    Alcotest.(check int) (Printf.sprintf "line of %S" msg) expected line;
+    Alcotest.(check string) (Printf.sprintf "message of %S" text) expected_msg msg
   | _ -> Alcotest.fail "expected parse failure"
 
 let test_parse_errors () =
-  expect_parse_error ~line:1 "z = AND(a)\nOUTPUT(z)\n";
-  (* undefined a *)
-  expect_parse_error ~line:2 "INPUT(a)\nz = FROB(a)\nOUTPUT(z)\n";
-  expect_parse_error ~line:2 "INPUT(a)\nz = NOT(a, a)\nOUTPUT(z)\n";
-  expect_parse_error ~line:2 "INPUT(a)\nz = AND(z, a)\nOUTPUT(z)\n"
-  (* combinational cycle *)
+  expect_parse_error ~line:1 ~msg:"undefined signal a" "z = AND(a)\nOUTPUT(z)\n";
+  expect_parse_error ~line:2 ~msg:"unknown gate type FROB"
+    "INPUT(a)\nz = FROB(a)\nOUTPUT(z)\n";
+  (* gate names are case-insensitive and reported upper-cased *)
+  expect_parse_error ~line:2 ~msg:"unknown gate type FROB"
+    "INPUT(a)\nz = frob(a)\nOUTPUT(z)\n";
+  expect_parse_error ~line:2 ~msg:"bad arity for NOT at z"
+    "INPUT(a)\nz = NOT(a, a)\nOUTPUT(z)\n";
+  expect_parse_error ~line:2 ~msg:"combinational cycle through z"
+    "INPUT(a)\nz = AND(z, a)\nOUTPUT(z)\n";
+  (* a 3-gate cycle is blamed where it closes: y's line reads z *)
+  expect_parse_error ~line:5 ~msg:"combinational cycle through z"
+    "INPUT(a)\nOUTPUT(z)\nz = AND(x, a)\nx = NOT(y)\ny = OR(z, a)\n"
 
 let test_parse_error_corpus () =
-  (* missing '=' *)
-  expect_parse_error ~line:2 "INPUT(a)\nz AND(a)\nOUTPUT(z)\n";
-  (* malformed right-hand side *)
-  expect_parse_error ~line:2 "INPUT(a)\nz = AND a\nOUTPUT(z)\n";
-  (* duplicate definition: the second one is blamed *)
-  expect_parse_error ~line:3 "INPUT(a)\nz = NOT(a)\nz = BUFF(a)\nOUTPUT(z)\n";
-  (* bad DFF initial value *)
-  expect_parse_error ~line:2 "INPUT(a)\nq = DFF(a, 2)\nOUTPUT(q)\n";
-  (* DFF arity *)
-  expect_parse_error ~line:2 "INPUT(a)\nq = DFF(a, 0, 1)\nOUTPUT(q)\n";
-  (* LATCH arity and phase *)
-  expect_parse_error ~line:2 "INPUT(a)\nq = LATCH(a)\nOUTPUT(q)\n";
-  expect_parse_error ~line:2 "INPUT(a)\nq = LATCH(a, x)\nOUTPUT(q)\n";
+  expect_parse_error ~line:2 ~msg:"expected '=' in: z AND(a)"
+    "INPUT(a)\nz AND(a)\nOUTPUT(z)\n";
+  expect_parse_error ~line:2 ~msg:"malformed right-hand side: AND a"
+    "INPUT(a)\nz = AND a\nOUTPUT(z)\n";
+  (* duplicate definitions: the second one is blamed *)
+  expect_parse_error ~line:3 ~msg:"duplicate definition of z"
+    "INPUT(a)\nz = NOT(a)\nz = BUFF(a)\nOUTPUT(z)\n";
+  expect_parse_error ~line:2 ~msg:"duplicate definition of a" "INPUT(a)\nINPUT(a)\n";
+  expect_parse_error ~line:2 ~msg:"bad initial value 2"
+    "INPUT(a)\nq = DFF(a, 2)\nOUTPUT(q)\n";
+  expect_parse_error ~line:2 ~msg:"DFF takes (data[, init])"
+    "INPUT(a)\nq = DFF(a, 0, 1)\nOUTPUT(q)\n";
+  (* a DFF without operands is not a DFF at all *)
+  expect_parse_error ~line:1 ~msg:"unknown gate type DFF" "q = DFF()\nOUTPUT(q)\n";
+  expect_parse_error ~line:2 ~msg:"LATCH takes (data, phase)"
+    "INPUT(a)\nq = LATCH(a)\nOUTPUT(q)\n";
+  expect_parse_error ~line:2 ~msg:"bad LATCH phase x"
+    "INPUT(a)\nq = LATCH(a, x)\nOUTPUT(q)\n";
   (* comments and blank lines keep their line numbers *)
-  expect_parse_error ~line:4 "# header\nINPUT(a)\n\nz = FROB(a)\nOUTPUT(z)\n";
-  (* an undefined OUTPUT is blamed at the OUTPUT line *)
-  expect_parse_error ~line:2 "INPUT(a)\nOUTPUT(ghost)\n"
+  expect_parse_error ~line:4 ~msg:"unknown gate type FROB"
+    "# header\nINPUT(a)\n\nz = FROB(a)\nOUTPUT(z)\n";
+  (* undefined operands are blamed at the use line: an OUTPUT, a
+     DFF's or a LATCH's data edge *)
+  expect_parse_error ~line:2 ~msg:"undefined signal ghost" "INPUT(a)\nOUTPUT(ghost)\n";
+  expect_parse_error ~line:3 ~msg:"undefined signal ghost"
+    "INPUT(a)\nOUTPUT(q)\nq = DFF(ghost)\n";
+  expect_parse_error ~line:1 ~msg:"undefined signal ghost" "m = LATCH(ghost, 0)\n";
+  (* data edges are connected last declared first *)
+  expect_parse_error ~line:2 ~msg:"undefined signal ghost2"
+    "q1 = DFF(ghost1)\nq2 = DFF(ghost2)\nOUTPUT(q1)\n";
+  (* which error wins: every line is read before anything is built,
+     and state elements are built before the gates *)
+  expect_parse_error ~line:2 ~msg:"expected '=' in: w AND"
+    "z = AND(ghost)\nw AND\n";
+  expect_parse_error ~line:2 ~msg:"bad initial value 7" "z = FROB(a)\nq = DFF(a, 7)\n";
+  (* a declaration cut off at its parenthesis, and a negative latch
+     phase, are parse errors too *)
+  expect_parse_error ~line:2 ~msg:"malformed declaration: OUTPUT(" "INPUT(a)\nOUTPUT(\n";
+  expect_parse_error ~line:1 ~msg:"malformed declaration: input(" "input(\n";
+  expect_parse_error ~line:2 ~msg:"bad LATCH phase -1"
+    "INPUT(a)\nq = LATCH(a, -1)\nOUTPUT(q)\n"
 
 let test_latch_extension () =
   let net =
@@ -199,6 +232,18 @@ let test_bench_max_arity_fixpoint () =
   Helpers.check_bool "nand8 semantics" true
     (Transform.Equiv.sim_equivalent net z1 back z2)
 
+(* vertex-order guard over the Table 1/2 designs: once written, a
+   design re-parses into a netlist that writes back to the same bytes,
+   so the parser creates vertices in the order the writer laid them
+   out *)
+let test_designs_write_stable () =
+  List.iter
+    (fun (name, build) ->
+      Helpers.check_bool (name ^ " write/parse/write") true
+        (bench_fixpoint (build name)))
+    (List.map (fun n -> (n, Workload.Iscas.by_name)) Workload.Iscas.names
+    @ List.map (fun n -> (n, Workload.Gp.by_name)) Workload.Gp.names)
+
 let suite =
   [
     Alcotest.test_case "parse basics" `Quick test_parse_basics;
@@ -206,6 +251,7 @@ let suite =
     Alcotest.test_case "forward references" `Quick test_parse_forward_reference;
     Alcotest.test_case "sequential cycles" `Quick test_parse_sequential_cycle;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "parse error corpus" `Quick test_parse_error_corpus;
     Alcotest.test_case "latch extension" `Quick test_latch_extension;
     Alcotest.test_case "bench roundtrip" `Quick test_bench_roundtrip_semantics;
     prop_netfmt_roundtrip;
@@ -214,4 +260,5 @@ let suite =
     prop_bench_fixpoint_fuzz;
     Alcotest.test_case "nasty declared names" `Quick test_bench_nasty_names;
     Alcotest.test_case "max-arity fixpoint" `Quick test_bench_max_arity_fixpoint;
+    Alcotest.test_case "designs write stable" `Quick test_designs_write_stable;
   ]
