@@ -49,13 +49,14 @@ type row = {
   reports : Core.Pipeline.report list; (* Original / COM / COM,RET,COM *)
 }
 
+(* one store per design: COM,RET,COM retimes the COM netlist rather
+   than running COM again *)
 let run_pipelines net =
   let budget = fresh_budget () in
-  [
-    Core.Pipeline.original net;
-    Core.Pipeline.com ~budget net;
-    Core.Pipeline.com_ret_com ~budget net;
-  ]
+  let store = Core.Pipeline.Store.create net in
+  let original = Core.Pipeline.Store.original store in
+  let com = Core.Pipeline.Store.com ~budget store in
+  [ original; com; Core.Pipeline.Store.com_ret_com ~budget store ]
 
 let pp_cell ppf (report : Core.Pipeline.report) =
   let s = Core.Pipeline.summarize ~cutoff report in

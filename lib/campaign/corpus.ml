@@ -89,11 +89,8 @@ let run_problem ~config ~mk_budget ~certify path =
     | net -> (
       match
         let budget : Obs.Budget.t = mk_budget () in
-        let tgts = Net.targets net in
-        targets := List.length tgts;
-        List.map
-          (fun (t, _) -> Engine.verify ~config ~budget ~certify net ~target:t)
-          tgts
+        targets := List.length (Net.targets net);
+        List.map snd (Engine.verify_all ~config ~budget ~certify net)
       with
       | exception e -> Crashed (Printexc.to_string e)
       | verdicts ->
