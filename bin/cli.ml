@@ -96,8 +96,7 @@ let jobs =
         & info [ "jobs"; "j" ] ~env ~docv:"N"
             ~doc:"Worker domains for parallel execution.  Results are \
                   deterministic: parallel runs report the same verdicts as \
-                  $(b,--jobs 1) (verdict selection is by strategy rank, \
-                  never wall-clock order), only faster"))
+                  $(b,--jobs 1), in the same order, only faster"))
 
 (* --no-inprocess: escape hatch for SAT inprocessing (subsumption,
    variable elimination, probing and the rest of Sat.Simplify).  The

@@ -48,10 +48,7 @@ let run file design pipeline cutoff recurrence budget jobs stats () =
         | Some lit -> Some (Core.Recurrence.compute ~limit:64 ~budget net lit)
         | None -> None
       in
-      if jobs > 1 then
-        Sched.Pool.with_pool ~jobs (fun pool ->
-            Sched.Pool.map pool compute report.Core.Pipeline.targets)
-      else List.map compute report.Core.Pipeline.targets
+      Sched.Pool.map_jobs ~jobs compute report.Core.Pipeline.targets
     end
   in
   List.iter2
@@ -173,10 +170,7 @@ let run_batch files cutoff certify budget_spec jobs queue_limit cache_mb stats
       ~budget:(Cli.budget_of_spec budget_spec) r
   in
   let outcomes =
-    if jobs > 1 then
-      Sched.Pool.with_pool ?capacity:queue_limit ~jobs (fun pool ->
-          Sched.Pool.map pool solve problems)
-    else List.map solve problems
+    Sched.Pool.map_jobs ?capacity:queue_limit ~jobs solve problems
   in
   let violated = ref 0 in
   let inconclusive = ref 0 in

@@ -26,17 +26,9 @@ let run_all dir jobs =
       Filename.concat dir (String.lowercase_ascii name ^ ".bench")
     in
     let text = Textio.Bench_io.to_string net in
-    let ok =
-      Obs.Fileout.write_or_warn ~what:"netlist" path (fun oc ->
-          output_string oc text)
-    in
-    (path, net, ok)
+    (path, net, Obs.Fileout.write_or_warn ~what:"netlist" path text)
   in
-  let results =
-    if jobs > 1 then
-      Sched.Pool.with_pool ~jobs (fun pool -> Sched.Pool.map pool emit names)
-    else List.map emit names
-  in
+  let results = Sched.Pool.map_jobs ~jobs emit names in
   let failed = ref 0 in
   List.iter
     (fun (path, net, ok) ->
@@ -74,10 +66,7 @@ let run design output list_them all jobs () =
         let text = Textio.Bench_io.to_string net in
         match output with
         | Some path ->
-          if
-            Obs.Fileout.write_or_warn ~what:"netlist" path (fun oc ->
-                output_string oc text)
-          then begin
+          if Obs.Fileout.write_or_warn ~what:"netlist" path text then begin
             Format.printf "wrote %s (%a)@." path Netlist.Net.pp_stats net;
             Cli.ok
           end

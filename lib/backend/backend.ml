@@ -79,8 +79,6 @@ end
 
 type solver = (module SOLVER)
 
-let of_module m = m
-
 (* ----- literal helpers ----- *)
 
 let pos = Solver.pos

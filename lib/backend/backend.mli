@@ -81,8 +81,7 @@ type solver
 
 (** The backend contract, as a first-class module: what a solver
     instance must provide to sit behind the unroller and the engine.
-    {!of_module} packs an implementation; the shipped backends are
-    constructed directly. *)
+    The shipped backends are constructed directly. *)
 module type SOLVER = sig
   val name : string
 
@@ -130,8 +129,6 @@ module type SOLVER = sig
       [solve] stand down with [Unknown budget_reason] at its next
       check point. *)
 end
-
-val of_module : (module SOLVER) -> solver
 
 (** {1 Literal helpers} (re-exported from {!Sat.Solver}) *)
 

@@ -125,9 +125,7 @@ let rec ite m f g h =
 let band m f g = ite m f g bfalse
 let bor m f g = ite m f btrue g
 let bxor m f g = ite m f (bnot m g) g
-let bimp m f g = ite m f g btrue
 let biff m f g = ite m f g (bnot m g)
-let band_list m = List.fold_left (band m) btrue
 let bor_list m = List.fold_left (bor m) bfalse
 
 module Iset = Set.Make (Int)

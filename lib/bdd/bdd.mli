@@ -36,10 +36,8 @@ val bnot : man -> t -> t
 val band : man -> t -> t -> t
 val bor : man -> t -> t -> t
 val bxor : man -> t -> t -> t
-val bimp : man -> t -> t -> t
 val biff : man -> t -> t -> t
 val ite : man -> t -> t -> t -> t
-val band_list : man -> t list -> t
 val bor_list : man -> t list -> t
 
 val exists : man -> int list -> t -> t

@@ -2,8 +2,6 @@ module Net = Netlist.Net
 module Lit = Netlist.Lit
 module Solver = Backend
 
-type frame_cost = { mutable f_vars : int; mutable f_clauses : int }
-
 type t = {
   solver : Solver.solver;
   net : Net.t;
@@ -11,23 +9,11 @@ type t = {
   inputs : (int * int, Solver.lit) Hashtbl.t;
   init_x : (int, Solver.lit) Hashtbl.t; (* state var -> free init literal *)
   fls : Solver.lit;
-  frames : (int, frame_cost) Hashtbl.t; (* time -> encoding cost *)
   c_vars : Obs.Stats.counter;
   c_clauses : Obs.Stats.counter;
 }
 
-let frame_cost t time =
-  match Hashtbl.find_opt t.frames time with
-  | Some f -> f
-  | None ->
-    let f = { f_vars = 0; f_clauses = 0 } in
-    Hashtbl.replace t.frames time f;
-    f
-
-let emitted t time ~vars ~clauses =
-  let f = frame_cost t time in
-  f.f_vars <- f.f_vars + vars;
-  f.f_clauses <- f.f_clauses + clauses;
+let emitted t ~vars ~clauses =
   Obs.Stats.add t.c_vars vars;
   Obs.Stats.add t.c_clauses clauses
 
@@ -44,12 +30,11 @@ let create solver net =
       inputs = Hashtbl.create 256;
       init_x = Hashtbl.create 16;
       fls;
-      frames = Hashtbl.create 64;
       c_vars = Obs.Stats.counter "encode.vars";
       c_clauses = Obs.Stats.counter "encode.clauses";
     }
   in
-  emitted t 0 ~vars:1 ~clauses:1;
+  emitted t ~vars:1 ~clauses:1;
   t
 
 let solver t = t.solver
@@ -68,7 +53,7 @@ let rec var_at t v time =
       | Net.Input _ ->
         let sv = Solver.pos (Solver.new_var t.solver) in
         Hashtbl.replace t.inputs (v, time) sv;
-        emitted t time ~vars:1 ~clauses:0;
+        emitted t ~vars:1 ~clauses:0;
         sv
       | Net.And (a, b) ->
         let sa = lit_at t a time in
@@ -77,7 +62,7 @@ let rec var_at t v time =
         Solver.add_clause t.solver [ Solver.negate c; sa ];
         Solver.add_clause t.solver [ Solver.negate c; sb ];
         Solver.add_clause t.solver [ c; Solver.negate sa; Solver.negate sb ];
-        emitted t time ~vars:1 ~clauses:3;
+        emitted t ~vars:1 ~clauses:3;
         c
       | Net.Reg r ->
         if time = 0 then init_lit t v r.Net.r_init
@@ -99,7 +84,7 @@ and init_lit t v = function
   | Net.Init_x ->
     let sl = Solver.pos (Solver.new_var t.solver) in
     Hashtbl.replace t.init_x v sl;
-    emitted t 0 ~vars:1 ~clauses:0;
+    emitted t ~vars:1 ~clauses:0;
     sl
 
 let value_at t l time = Solver.value t.solver (lit_at t l time)
@@ -117,8 +102,3 @@ let input_frames t ~upto =
     t.inputs []
   |> List.sort (fun (v1, t1, _) (v2, t2, _) -> compare (t1, v1) (t2, v2))
 
-let frame_profile t =
-  Hashtbl.fold
-    (fun time f acc -> (time, f.f_vars, f.f_clauses) :: acc)
-    t.frames []
-  |> List.sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2)

@@ -34,9 +34,3 @@ val input_frames : t -> upto:int -> (int * int * Backend.lit) list
     (time, variable), so extracted counterexamples are deterministic
     across runs. *)
 
-val frame_profile : t -> (int * int * int) list
-(** Per time frame, the (time, solver variables, clauses) emitted while
-    encoding it, sorted by time.  Register/latch aliasing attributes
-    cost to the frame whose cone forced the encoding.  Also accumulated
-    into the global {!Obs.Stats} counters ["encode.vars"] and
-    ["encode.clauses"]. *)

@@ -1,23 +1,3 @@
-let walk ~through_state t roots =
-  let seen = Array.make (Net.num_vars t) false in
-  let rec visit v =
-    if not seen.(v) then begin
-      seen.(v) <- true;
-      match Net.node t v with
-      | Net.Const | Net.Input _ -> ()
-      | Net.And (a, b) ->
-        visit (Lit.var a);
-        visit (Lit.var b)
-      | Net.Reg r -> if through_state then visit (Lit.var r.Net.next)
-      | Net.Latch l -> if through_state then visit (Lit.var l.Net.l_data)
-    end
-  in
-  List.iter (fun l -> visit (Lit.var l)) roots;
-  seen
-
-let of_lits t roots = walk ~through_state:true t roots
-let combinational t roots = walk ~through_state:false t roots
-
 let regs_in t seen =
   let out = ref [] in
   Net.iter_nodes t (fun v _ -> if seen.(v) && Net.is_reg t v then out := v :: !out);
@@ -97,3 +77,16 @@ let mem c v =
 
 let leaves c = c.leaves
 let state_elems c = c.state
+
+(* the bool-array walks: one stamped walk on a walker of their own *)
+let marks ~through_state t roots =
+  let w = walker t in
+  let c = walk w ~through_state roots in
+  let seen = Array.make (Net.num_vars t) false in
+  for v = 0 to Array.length seen - 1 do
+    if w.stamp.(v) = c.id then seen.(v) <- true
+  done;
+  seen
+
+let of_lits t roots = marks ~through_state:true t roots
+let combinational t roots = marks ~through_state:false t roots

@@ -6,7 +6,8 @@
 
 val of_lits : Net.t -> Lit.t list -> bool array
 (** [of_lits t roots] marks every vertex in the sequential cone of
-    influence of [roots]. *)
+    influence of [roots].  One stamped {!walk} on a walker of its own,
+    so it is safe on arbitrarily deep netlists, as is {!combinational}. *)
 
 val combinational : Net.t -> Lit.t list -> bool array
 (** Like {!of_lits} but stopping at state elements: their next-state

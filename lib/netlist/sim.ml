@@ -10,11 +10,6 @@ let v_and a b =
 
 let value_of_bool b = if b then V1 else V0
 
-let pp_value ppf = function
-  | V0 -> Format.pp_print_char ppf '0'
-  | V1 -> Format.pp_print_char ppf '1'
-  | Vx -> Format.pp_print_char ppf 'x'
-
 type state = {
   net : Net.t;
   vals : value array;  (* stabilized value of each vertex this step *)

@@ -13,7 +13,6 @@ type value = V0 | V1 | Vx
 val v_not : value -> value
 val v_and : value -> value -> value
 val value_of_bool : bool -> value
-val pp_value : Format.formatter -> value -> unit
 
 type state
 

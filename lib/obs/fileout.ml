@@ -1,7 +1,8 @@
-let write_or_warn ~what path f =
+let write_or_warn ~what path text =
   match
     let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+        output_string oc text)
   with
   | () -> true
   | exception Sys_error msg ->

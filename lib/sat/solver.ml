@@ -190,7 +190,6 @@ let num_core_deleted s = s.core_deleted
 let set_max_learnts s n = s.max_learnts <- float_of_int n
 let max_learnts s = int_of_float s.max_learnts
 let set_inprocess s b = s.simplify_enabled <- b
-let set_simplify_config s cfg = s.simplify_cfg <- cfg
 let set_simplify_wrapper s f = s.simplify_wrapper <- f
 
 let num_watch_entries s =

@@ -157,8 +157,6 @@ val inprocess_default : unit -> bool
 val set_inprocess : t -> bool -> unit
 (** Enable/disable scheduled inprocessing for this solver instance. *)
 
-val set_simplify_config : t -> Simplify.config -> unit
-
 val simplify_now : t -> unit
 (** Run one inprocessing pass immediately, regardless of the schedule
     and of {!set_inprocess}.  Only legal at decision level 0. *)

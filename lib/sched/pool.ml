@@ -205,3 +205,7 @@ let map t f items =
 let with_pool ?capacity ~jobs f =
   let t = create ?capacity ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+let map_jobs ?capacity ~jobs f items =
+  if jobs <= 1 then List.map f items
+  else with_pool ?capacity ~jobs (fun t -> map t f items)

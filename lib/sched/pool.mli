@@ -92,3 +92,7 @@ val shutdown : t -> unit
 val with_pool : ?capacity:int -> jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool, guaranteeing
     {!shutdown} on the way out (also on exceptions). *)
+
+val map_jobs : ?capacity:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [List.map] on the calling domain when [jobs <= 1], else {!map} on
+    a fresh pool of [jobs] workers. *)

@@ -14,18 +14,3 @@ let run net ~cut =
           (Net.add_input net (Printf.sprintf "cutpoint%d" v)))
     cut;
   Rebuild.copy ~redirect:(Hashtbl.find_opt fresh_inputs) net
-
-let cut_at_depth net ~depth =
-  let roots = List.map snd (Net.targets net) in
-  let dist = Hashtbl.create 256 in
-  let rec visit v d =
-    let better =
-      match Hashtbl.find_opt dist v with Some d' -> d < d' | None -> true
-    in
-    if better then begin
-      Hashtbl.replace dist v d;
-      List.iter (fun l -> visit (Lit.var l) (d + 1)) (Net.fanins net v)
-    end
-  in
-  List.iter (fun l -> visit (Lit.var l) 0) roots;
-  Hashtbl.fold (fun v d acc -> if d > depth then v :: acc else acc) dist []

@@ -11,7 +11,3 @@
 
 val run : Netlist.Net.t -> cut:int list -> Rebuild.result
 (** [run net ~cut] replaces each vertex in [cut] by a fresh input. *)
-
-val cut_at_depth : Netlist.Net.t -> depth:int -> int list
-(** Heuristic cut: vertices whose combinational depth from the targets
-    exceeds [depth] and that source a crossing edge. *)

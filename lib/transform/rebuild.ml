@@ -30,39 +30,53 @@ let copy ?roots ?(redirect = fun _ -> None) old =
   in
   (* pending state-element data edges, set after their cones exist *)
   let pending = ref [] in
-  let rec build_var v =
-    match map.(v) with
-    | Some nl -> nl
-    | None ->
-      let target = resolve v in
-      let nl =
+  (* Depth first on an explicit stack, the second fanin of an AND
+     before the first, as the recursive build always created them *)
+  let stack = Stack.create () in
+  let signed l nl = Lit.xor_sign nl (Lit.is_neg l) in
+  let built v nl =
+    map.(v) <- Some nl;
+    ignore (Stack.pop stack)
+  in
+  let build_var root =
+    Stack.push root stack;
+    while not (Stack.is_empty stack) do
+      let v = Stack.top stack in
+      match map.(v) with
+      | Some _ -> ignore (Stack.pop stack)
+      | None ->
+        let target = resolve v in
         if Lit.var target <> v then begin
-          let sub = build_var (Lit.var target) in
-          Lit.xor_sign sub (Lit.is_neg target)
+          match map.(Lit.var target) with
+          | Some nl -> built v (signed target nl)
+          | None -> Stack.push (Lit.var target) stack
         end
         else begin
           match Net.node old v with
-          | Net.Const -> Lit.false_
-          | Net.Input name -> Net.add_input fresh name
-          | Net.And (a, b) -> Net.add_and fresh (build_lit a) (build_lit b)
+          | Net.Const -> built v Lit.false_
+          | Net.Input name -> built v (Net.add_input fresh name)
+          | Net.And (a, b) -> (
+            match (map.(Lit.var a), map.(Lit.var b)) with
+            | Some na, Some nb ->
+              built v (Net.add_and fresh (signed a na) (signed b nb))
+            | _, None -> Stack.push (Lit.var b) stack
+            | None, Some _ -> Stack.push (Lit.var a) stack)
           | Net.Reg r ->
             let nr = Net.add_reg fresh ~init:r.Net.r_init r.Net.r_name in
-            map.(v) <- Some nr;
             pending := `Reg (nr, r.Net.next) :: !pending;
-            nr
+            built v nr
           | Net.Latch l ->
             let nlat =
               Net.add_latch fresh ~init:l.Net.l_init ~phase:l.Net.l_phase
                 l.Net.l_name
             in
-            map.(v) <- Some nlat;
             pending := `Latch (nlat, l.Net.l_data) :: !pending;
-            nlat
+            built v nlat
         end
-      in
-      map.(v) <- Some nl;
-      nl
-  and build_lit l = Lit.xor_sign (build_var (Lit.var l)) (Lit.is_neg l) in
+    done;
+    Option.get map.(root)
+  in
+  let build_lit l = Lit.xor_sign (build_var (Lit.var l)) (Lit.is_neg l) in
   List.iter (fun l -> ignore (build_var (Lit.var l))) roots;
   (* state-element data cones: new pending edges may appear while we
      process, so drain the worklist *)

@@ -8,11 +8,12 @@ cd "$(dirname "$0")/.."
 timeout 300 dune build
 timeout 900 dune runtest
 
-# Deep netlists: a 100k-deep forward-referenced chain must parse and
-# walk with the stack capped at 1M words, where recursion overflows.
+# Deep netlists: a 100k-deep forward-referenced chain must parse, walk
+# and go through COM with the stack capped at 1M words, where
+# recursion overflows.
 # Run the built binary directly so the cap does not apply to dune.
 OCAMLRUNPARAM=l=1M timeout 120 _build/default/test/deep/deep.exe \
-  || { echo "ci: deep netlist parse (FAIL)"; exit 1; }
+  || { echo "ci: deep netlist (FAIL)"; exit 1; }
 echo "ci: deep netlist ok"
 
 # Smoke-test the resource governance end to end: a 1-second deadline
@@ -84,8 +85,9 @@ echo "ci: jsonl trace smoke ok"
 # Parallel and race determinism: --jobs 2 must produce byte-identical
 # verdicts, exit codes and certified proofs to --jobs 1 on every
 # example design, for the reference backend and for the full
-# (strategy x backend) race grid — rank-based cell selection, not
-# wall-clock order, decides the verdict and whose proof is written.
+# (strategy x backend) race grid — targets run in parallel, but each
+# target's ladder selects by rank and verdicts and proofs come back in
+# target order, never in wall-clock order.
 # Both runs write their proofs under one prefix, so the printed proof
 # paths match; each run's files are then set aside for a byte compare.
 for backend in reference race; do
@@ -421,6 +423,42 @@ echo '{"id":"m","op":"metrics"}' | timeout 60 dune exec bin/diam_tool.exe -- \
 grep -q '# TYPE diambound_' "$tmpdir/metrics.out" \
   || { echo "ci: metrics op exposition malformed (FAIL)"; exit 1; }
 echo "ci: telemetry smoke ok"
+
+# One transformation pass per design: on the 37-target latch-based
+# v_cach, diam-verify runs the phase front, COM and COM,RET,COM at most
+# once each for all its targets, and diam-verify and bmc-check print
+# the same verdict lines at --jobs 1 and 2 (attempt timings and the
+# stats-file notice stripped).
+timeout 60 dune exec bin/gen_tool.exe -- --design V_CACH \
+  -o "$tmpdir/v_cach.bench" > /dev/null
+for jobs in 1 2; do
+  for tool in verify bmc; do
+    rc=0
+    timeout 120 dune exec "bin/${tool}_tool.exe" -- "$tmpdir/v_cach.bench" \
+      --jobs "$jobs" --stats-json "$tmpdir/v_cach.$tool$jobs.json" \
+      > "$tmpdir/v_cach.$tool$jobs.raw" || rc=$?
+    case "$rc" in
+      0|1|3) ;;
+      *) echo "ci: $tool on v_cach --jobs $jobs exit $rc (FAIL)"; exit 1 ;;
+    esac
+    sed -E -e 's/ \([0-9.]+ms\)$//' -e '/^stats: /d' \
+      "$tmpdir/v_cach.$tool$jobs.raw" > "$tmpdir/v_cach.$tool$jobs.out"
+  done
+done
+for tool in verify bmc; do
+  diff -u "$tmpdir/v_cach.${tool}1.out" "$tmpdir/v_cach.${tool}2.out" \
+    || { echo "ci: $tool output differs across --jobs (FAIL)"; exit 1; }
+done
+python3 - "$tmpdir/v_cach.verify1.json" <<'PY' \
+  || { echo "ci: a pipeline ran more than once per design (FAIL)"; exit 1; }
+import json, sys
+spans = json.load(open(sys.argv[1]))["spans"]
+for name in ("pipeline.phase", "pipeline.com", "pipeline.com-ret-com"):
+    calls = spans.get(name, {}).get("calls", 0)
+    print(f"ci: {name} ran {calls}x")
+    assert calls <= 1
+PY
+echo "ci: one pass per design ok"
 
 # Bench smoke: the paper-reproduction harness still runs; its cheapest
 # experiment, the B1 recurrence-diameter comparison, prints its table.

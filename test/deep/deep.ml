@@ -31,3 +31,13 @@ let () =
   let cone = Coi.walk (Coi.walker net) ~through_state:true [ g0 ] in
   check "the cone reads both inputs"
     (List.sort compare (Coi.leaves cone) = List.sort compare (Net.inputs net))
+  ;
+  (* COM's first cleanup copy rebuilds the whole chain, and the report
+     bounds its target.  The budget is already expired, so COM stops
+     there: its SAT sweep would check each of the 100k equivalent
+     gates against one representative through the whole chain, work
+     quadratic in the depth. *)
+  let r = Core.Pipeline.com ~budget:(Obs.Budget.create ~timeout_s:0. ()) net in
+  check "COM keeps the target"
+    (List.map (fun t -> t.Core.Pipeline.target) r.Core.Pipeline.targets
+    = [ "g0" ])

@@ -197,11 +197,10 @@ let test_slice_clamp () =
 let test_fileout_warns () =
   Helpers.check_bool "unwritable path returns false" false
     (Obs.Fileout.write_or_warn ~what:"test artifact"
-       "/nonexistent-dir/deeper/x.txt" (fun oc -> output_string oc "x"));
+       "/nonexistent-dir/deeper/x.txt" "x");
   let path = Filename.temp_file "diambound_fileout" ".txt" in
   Helpers.check_bool "writable path returns true" true
-    (Obs.Fileout.write_or_warn ~what:"test artifact" path (fun oc ->
-         output_string oc "payload"));
+    (Obs.Fileout.write_or_warn ~what:"test artifact" path "payload");
   let ic = open_in path in
   let got = really_input_string ic (in_channel_length ic) in
   close_in ic;

@@ -53,11 +53,32 @@ let prop_cone_closed =
               (Net.fanins net v));
       !ok)
 
-(* The stamped walker against the bool-array walks: on random nets,
-   several walks in a row on one walker mark exactly the vertices of
-   [of_lits] / [combinational], [leaves] lists the inputs and state
-   elements of the combinational cone, and [state_elems] the state
-   elements of the walked cone. *)
+(* An independent reference for the walker: the plain recursive
+   fanin closure, entering a state element's data edge only when
+   [through_state]. *)
+let reference ~through_state net roots =
+  let seen = Array.make (Net.num_vars net) false in
+  let rec visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      match Net.node net v with
+      | Net.Const | Net.Input _ -> ()
+      | Net.And (a, b) ->
+        visit (Lit.var a);
+        visit (Lit.var b)
+      | Net.Reg r -> if through_state then visit (Lit.var r.Net.next)
+      | Net.Latch l -> if through_state then visit (Lit.var l.Net.l_data)
+    end
+  in
+  List.iter (fun l -> visit (Lit.var l)) roots;
+  seen
+
+(* The stamped walker and the bool-array walks built on it against
+   the reference: on random nets, several walks in a row on one walker
+   mark exactly the reference cones, as do [of_lits] /
+   [combinational], [leaves] lists the inputs and state elements of
+   the combinational cone, and [state_elems] the state elements of the
+   walked cone. *)
 let prop_walker_matches =
   Helpers.qtest ~count:60 "stamped walks match the bool-array walks"
     QCheck.(int_bound 1000000)
@@ -73,10 +94,13 @@ let prop_walker_matches =
         | Net.Const | Net.And _ -> false
       in
       let agree roots =
-        let seq = Coi.of_lits net roots and comb = Coi.combinational net roots in
+        let seq = reference ~through_state:true net roots
+        and comb = reference ~through_state:false net roots in
         let c = Coi.walk w ~through_state:true roots in
         let seq_ok =
-          List.for_all (fun v -> Coi.mem c v = seq.(v)) (List.init n Fun.id)
+          Coi.of_lits net roots = seq
+          && Coi.combinational net roots = comb
+          && List.for_all (fun v -> Coi.mem c v = seq.(v)) (List.init n Fun.id)
           && sorted (Coi.leaves c) = marked comb leaf
           && sorted (Coi.state_elems c) = marked seq (Net.is_state net)
         in

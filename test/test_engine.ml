@@ -132,6 +132,36 @@ let prop_agrees_with_exact =
           | Some hit -> hit <= cex.Bmc.depth
           | None -> false)))
 
+(* verify_all: one store for every target, the same verdicts as
+   target-by-target verify, at every job count *)
+let test_verify_all () =
+  let net =
+    Textio.Bench_io.parse
+      (Textio.Bench_io.to_string (Workload.Gp.by_name "V_CACH"))
+  in
+  let brief v = Core.Engine.verdict_brief v in
+  let each =
+    List.map
+      (fun (t, _) -> (t, brief (Core.Engine.verify ~certify:true net ~target:t)))
+      (Netlist.Net.targets net)
+  in
+  List.iter
+    (fun jobs ->
+      let emitted = ref [] in
+      let all =
+        Core.Engine.verify_all ~certify:true ~jobs
+          ~emit:(fun t v -> emitted := (t, brief v) :: !emitted)
+          net
+      in
+      let all = List.map (fun (t, v) -> (t, brief v)) all in
+      Helpers.check_bool (Printf.sprintf "jobs %d verdicts" jobs) true (all = each);
+      Helpers.check_bool (Printf.sprintf "jobs %d emitted in order" jobs) true
+        (List.rev !emitted = each))
+    [ 1; 2 ];
+  let some = [ "obs3"; "po0" ] in
+  Helpers.check_bool "chosen targets" true
+    (List.map fst (Core.Engine.verify_all ~targets:some net) = some)
+
 let suite =
   [
     Alcotest.test_case "probe finds shallow bug" `Quick test_probe_finds_shallow_bug;
@@ -144,4 +174,5 @@ let suite =
       test_empty_enlargement_at_k0;
     Alcotest.test_case "unknown target" `Quick test_unknown_target;
     prop_agrees_with_exact;
+    Alcotest.test_case "verify_all" `Quick test_verify_all;
   ]

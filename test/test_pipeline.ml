@@ -101,6 +101,62 @@ let test_summary_average () =
   (* bounds 4 and 2 *)
   Helpers.check_bool "average" true (abs_float (s.Core.Pipeline.average -. 3.0) < 1e-9)
 
+(* ----- the per-netlist store ----- *)
+
+let calls name =
+  match List.assoc_opt name (Obs.Stats.snapshot ()).Obs.Stats.spans with
+  | Some s -> s.Obs.Stats.calls
+  | None -> 0
+
+let brief r =
+  List.map
+    (fun t -> (t.Core.Pipeline.target, t.Core.Pipeline.raw_bound, t.Core.Pipeline.bound))
+    r.Core.Pipeline.targets
+
+let test_store_computes_once () =
+  let latched = Workload.Gp.by_name "L_LRU" in
+  Obs.Stats.reset ();
+  let store = Core.Pipeline.Store.create latched in
+  let view () = fst (Core.Pipeline.Store.register_view store) in
+  let coms = List.init 2 (fun _ -> Core.Pipeline.Store.com (view ())) in
+  let crcs = List.init 2 (fun _ -> Core.Pipeline.Store.com_ret_com (view ())) in
+  Helpers.check_int "one phase front" 1 (calls "pipeline.phase");
+  Helpers.check_int "one COM" 1 (calls "pipeline.com");
+  Helpers.check_int "one COM,RET,COM" 1 (calls "pipeline.com-ret-com");
+  (* the one-shot pipelines, which run COM again inside COM,RET,COM,
+     agree with the store *)
+  let abstracted, _ = Core.Pipeline.phase_front latched in
+  Helpers.check_bool "COM as one-shot" true
+    (List.for_all (fun r -> brief r = brief (Core.Pipeline.com abstracted)) coms);
+  Helpers.check_bool "COM,RET,COM as one-shot" true
+    (List.for_all
+       (fun r -> brief r = brief (Core.Pipeline.com_ret_com abstracted))
+       crcs)
+
+let test_store_drops_expired () =
+  let net = Workload.Iscas.by_name "S27" in
+  Obs.Stats.reset ();
+  let store = Core.Pipeline.Store.create net in
+  let expired = Obs.Budget.create ~timeout_s:0. () in
+  ignore (Core.Pipeline.Store.com ~budget:expired store);
+  ignore (Core.Pipeline.Store.com store);
+  ignore (Core.Pipeline.Store.com store);
+  Helpers.check_int "the expired result is not kept" 2 (calls "pipeline.com");
+  (* a different inprocessing choice is a different entry *)
+  ignore (Core.Pipeline.Store.com ~inprocess:false store);
+  Helpers.check_int "keyed by inprocessing" 3 (calls "pipeline.com")
+
+let test_store_across_domains () =
+  let net = Workload.Iscas.by_name "S953" in
+  Obs.Stats.reset ();
+  let store = Core.Pipeline.Store.create net in
+  let run () = brief (Core.Pipeline.Store.com_ret_com store) in
+  let others = List.init 2 (fun _ -> Domain.spawn run) in
+  let mine = run () in
+  Helpers.check_bool "every domain reads one result" true
+    (List.for_all (fun d -> Domain.join d = mine) others);
+  Helpers.check_int "computed once" 1 (calls "pipeline.com-ret-com")
+
 let suite =
   [
     Alcotest.test_case "gadget design monotone" `Slow test_monotone_on_gadget_design;
@@ -111,4 +167,8 @@ let suite =
     Alcotest.test_case "GP COM win" `Slow test_gp_monotone;
     Alcotest.test_case "summary average" `Quick test_summary_average;
     prop_pipeline_bounds_sound;
+    Alcotest.test_case "store computes once" `Quick test_store_computes_once;
+    Alcotest.test_case "store drops expired results" `Quick
+      test_store_drops_expired;
+    Alcotest.test_case "store across domains" `Quick test_store_across_domains;
   ]
