@@ -121,21 +121,21 @@ let queue_limit =
 let cache_mb =
   let env =
     Cmdliner.Cmd.Env.info "DIAMBOUND_CACHE_MB"
-      ~doc:"Default bound-cache budget when $(b,--cache-mb) is absent"
+      ~doc:"Default verdict-cache budget when $(b,--cache-mb) is absent"
   in
   Cmdliner.Arg.(
     value & opt int 64
     & info [ "cache-mb" ] ~docv:"MB" ~env
-        ~doc:"Bound cache budget in megabytes: certified verdicts and \
-              strategy bounds keyed by canonical cone fingerprint, \
-              LRU-evicted beyond the budget")
+        ~doc:"Verdict cache budget in megabytes: certified conclusive \
+              verdicts keyed by canonical cone fingerprint and \
+              configuration, LRU-evicted beyond the budget")
 
 (* ----- batch: multi-problem server mode ----- *)
 
 (* Every (netlist, target) pair across the given files becomes one
    Serve.Exec request — the SAME request path diam serve's workers
    run, so batch inherits the per-request exception barrier, budget
-   slicing and bound cache, and the two front-ends cannot drift.
+   slicing and verdict cache, and the two front-ends cannot drift.
    Verdict lines print in input order; each problem gets a fresh
    budget sliced from the --timeout/--conflicts/--bdd-nodes spec. *)
 let run_batch files cutoff certify budget_spec jobs queue_limit cache_mb stats
@@ -209,7 +209,7 @@ let batch_cmd =
   in
   let doc =
     "verify many (netlist, target) problems across a shared worker pool, \
-     through the same per-request barrier, budget slicing and bound cache \
+     through the same per-request barrier, budget slicing and verdict cache \
      as diam serve; verdict lines are in input order and identical to a \
      sequential run"
   in
@@ -257,7 +257,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "socket" ] ~docv:"PATH"
           ~doc:"Serve connections on a Unix-domain socket at $(docv) (one \
-                JSONL session per connection, bound cache shared across \
+                JSONL session per connection, verdict cache shared across \
                 them) instead of a single stdin/stdout session")
   in
   let chaos_seed =
@@ -320,8 +320,8 @@ let serve_cmd =
      --jobs value); parse errors, solver crashes and injected faults \
      become structured error responses behind a per-request barrier; \
      poisoned workers are respawned; --queue-limit switches admission \
-     from blocking to load-shedding; certified verdicts and bounds are \
-     served from an LRU cone-fingerprint cache; the metrics op, \
+     from blocking to load-shedding; certified verdicts are served from \
+     an LRU cone-fingerprint cache; the metrics op, \
      --stall-window watchdog and --metrics-interval stream expose live \
      telemetry without touching the response bytes"
   in

@@ -1,5 +1,4 @@
 type payload =
-  | Bound of { strategy : string; raw : Sat_bound.t }
   | Proved of { strategy : string; depth : int }
   | Violated of { strategy : string; cex : Bmc.cex }
 
@@ -30,7 +29,6 @@ type t = {
 let node_overhead = 120
 
 let payload_bytes = function
-  | Bound { strategy; _ } -> 48 + String.length strategy
   | Proved { strategy; _ } -> 32 + String.length strategy
   | Violated { strategy; cex } ->
     48 + String.length strategy
@@ -113,14 +111,6 @@ let find t key =
         Obs.Stats.count (c t "misses") 1;
         None)
 
-let peek t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.index key with
-      | Some n ->
-        touch t n;
-        Some n.payload
-      | None -> None)
-
 let add t key payload =
   let size = entry_bytes key payload in
   locked t (fun () ->
@@ -148,15 +138,6 @@ let add t key payload =
       end;
       gauges t)
 
-let remove t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.index key with
-      | Some n ->
-        drop t n;
-        gauges t;
-        true
-      | None -> false)
-
 let purge t pred =
   locked t (fun () ->
       let doomed =
@@ -170,14 +151,5 @@ let purge t pred =
       gauges t;
       n)
 
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.index;
-      t.first <- None;
-      t.last <- None;
-      t.bytes <- 0;
-      gauges t)
-
 let length t = locked t (fun () -> Hashtbl.length t.index)
 let bytes t = locked t (fun () -> t.bytes)
-let max_bytes t = t.max_bytes

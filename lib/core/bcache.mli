@@ -3,13 +3,12 @@
     Keys are opaque strings — in practice canonical fingerprints
     ({!Netlist.Net.cone_fingerprint}) combined with a digest of the
     engine configuration, so structurally equal problems share entries
-    no matter how their netlists were built.  Values are the {e
-    reusable} part of a verification: a strategy's computed
-    completeness bound, or a certified conclusive verdict.  Anything
-    uncertified or inconclusive is deliberately uncacheable — a cache
-    must never launder a result whose provenance was not checked
-    (see DESIGN.md §8 for the coherence invariants the serve layer's
-    chaos drill enforces on top).
+    no matter how their netlists were built.  Values are certified
+    conclusive verdicts.  Anything uncertified or inconclusive is
+    deliberately uncacheable — a cache must never launder a result
+    whose provenance was not checked (see DESIGN.md §8 for the
+    coherence invariants the serve layer's chaos drill enforces on
+    top).
 
     The cache is mutex-protected (serve workers on several domains hit
     it concurrently) and instrumented: [<prefix>.hits], [.misses],
@@ -18,11 +17,6 @@
     effectiveness directly. *)
 
 type payload =
-  | Bound of { strategy : string; raw : Sat_bound.t }
-      (** a strategy's completeness bound, already translated to the
-          original netlist of the cached cone.  Cutoff-independent:
-          whether the bound is {e dischargeable} is decided by the
-          configuration of the run that replays it. *)
   | Proved of { strategy : string; depth : int }
   | Violated of { strategy : string; cex : Bmc.cex }
       (** conclusive verdicts are cached only after certification
@@ -43,19 +37,10 @@ val find : t -> string -> payload option
 (** Lookup; a hit refreshes the entry's recency and bumps
     [<prefix>.hits] / [<prefix>.misses]. *)
 
-val peek : t -> string -> payload option
-(** {!find} without the hit/miss counters (recency is still
-    refreshed).  For speculative probes — the engine probing every
-    ladder strategy for a seedable bound must not drown the
-    request-level hit ratio. *)
-
 val add : t -> string -> payload -> unit
 (** Insert or replace, then evict from the cold end until the byte
     budget holds.  An entry larger than the whole budget is refused
     (and counted as an eviction) rather than cycling the cache. *)
-
-val remove : t -> string -> bool
-(** [true] iff the key was present. *)
 
 val purge : t -> (string -> payload -> bool) -> int
 (** Drop every entry the predicate selects, returning how many.  The
@@ -63,10 +48,6 @@ val purge : t -> (string -> payload -> bool) -> int
     re-certification, the serve layer purges the fingerprint's entries
     so the fault cannot be replayed to a later request. *)
 
-val clear : t -> unit
-
 val length : t -> int
 val bytes : t -> int
 (** Current entry count / estimated resident bytes. *)
-
-val max_bytes : t -> int

@@ -87,9 +87,7 @@ let budget_reason = "budget-exhausted"
 (* prefix of every certification-failure stand-down reason *)
 let cert_fail_reason = "certification-failed"
 
-let () =
-  Stats.declare
-    [ "engine.cert_ok"; "engine.cert_fail"; "engine.cache.bound_seeded" ]
+let () = Stats.declare [ "engine.cert_ok"; "engine.cert_fail" ]
 
 (* ----- one strategy, run in isolation -----
 
@@ -120,14 +118,11 @@ type callbacks = {
 type strategy = string * (callbacks -> unit)
 
 (* one cell's outcome: its verdict if conclusive, the attempts it
-   recorded, the proofs it sank (buffered until selection) and the
-   bound it reached, under the cell's name for the cache *)
+   recorded and the proofs it sank (buffered until selection) *)
 type cell_result = {
   won : verdict option;
   atts : attempt list;
   proofs : Sat.Proof.t list;
-  name : string;
-  bound : Sat_bound.t option;
 }
 
 (* Run one strategy under [slice].  The [Done] unwind never escapes:
@@ -286,13 +281,7 @@ let run_strategy ~config ~certify ~keep_proofs ~backend ~slice net ~target
       won
     end
   in
-  {
-    won = verdict;
-    atts = List.rev !attempts;
-    proofs = List.rev !proofs;
-    name;
-    bound = !bound_seen;
-  }
+  { won = verdict; atts = List.rev !attempts; proofs = List.rev !proofs }
 
 (* ----- the strategy ladder -----
 
@@ -485,50 +474,14 @@ let cells ~config store ~target ~tlit : (Backend.t * strategy) list =
 
 let count_verdict v = Stats.count ("engine." ^ outcome_name v) 1
 
-(* ----- the bound cache hooks -----
-
-   [bcache] is [(cache, key_prefix)]: per ladder strategy, the prefix
-   plus the strategy name keys a previously certified completeness
-   bound.  Seeding replaces the strategy's body with a direct
-   discharge of the cached bound — the expensive analysis
-   (COM/RET/BDD/recurrence) is skipped, while the discharge BMC run
-   and its certification are repeated in full, so a seeded ladder can
-   only conclude what a fresh ladder would.  [Bcache.peek] keeps these
-   speculative probes out of the request-level hit/miss counters. *)
-
-let seed_strategies bcache cells =
-  match bcache with
-  | None -> cells
-  | Some (cache, kp) ->
-    List.map
-      (fun ((backend, (name, _)) as c) ->
-        match Bcache.peek cache (kp ^ name) with
-        | Some (Bcache.Bound { raw; _ }) ->
-          Stats.count "engine.cache.bound_seeded" 1;
-          (backend, (name, fun cb -> cb.discharge raw))
-        | Some _ | None -> c)
-      cells
-
-(* Bounds enter the cache only off a certified [Proved]: that
-   certification re-derived the translation arithmetic (and any
-   recurrence evidence), so the stored bound's provenance is checked —
-   an injected fault upstream of it cannot be laundered through the
-   cache.  [Violated] is excluded: its certification replays the cex
-   but does not re-check the bound. *)
-let store_bound bcache ~certify verdict name bound =
-  match (bcache, verdict, bound) with
-  | Some (cache, kp), Proved _, Some raw when certify ->
-    Bcache.add cache (kp ^ name) (Bcache.Bound { strategy = name; raw })
-  | _ -> ()
-
 (* ----- the grid runner -----
 
-   One body runs every verification: check the target, build and seed
-   the cell grid, run the cells through an executor, then select the
-   LOWEST-ranked conclusive cell, replay only its proofs and store only
-   its bound.  Each cell sinks its proofs into its own buffer, so the
-   caller's sink never observes a cell that was not selected.  The
-   executors differ only in scheduling:
+   One body runs every verification: check the target, build the
+   cell grid, run the cells through an executor, then select the
+   LOWEST-ranked conclusive cell and replay only its proofs.  Each
+   cell sinks its proofs into its own buffer, so the caller's sink
+   never observes a cell that was not selected.  The executors differ
+   only in scheduling:
 
    - [In_domain] runs the cells in rank order on the calling domain,
      each on an equal slice of the wall clock remaining, and stops at
@@ -546,14 +499,12 @@ let store_bound bcache ~certify verdict name bound =
 
 type executor = In_domain | On_pool of Sched.Pool.t
 
-let run_grid exec ~config ~budget ~certify ~proof_sink ~bcache store ~target =
+let run_grid exec ~config ~budget ~certify ~proof_sink store ~target =
   let net = Pipeline.Store.net store in
   let tlit = check_target net target in
   (* a proof sink only ever receives certified proofs *)
   let certify = certify || proof_sink <> None in
-  (* seeding happens here, on the calling domain: workers never touch
-     the cache, so the seeded grid is the same for every executor *)
-  let grid = seed_strategies bcache (cells ~config store ~target ~tlit) in
+  let grid = cells ~config store ~target ~tlit in
   let run_cell ~slice (backend, s) =
     run_strategy ~config ~certify ~keep_proofs:(proof_sink <> None) ~backend
       ~slice net ~target ~tlit s
@@ -571,11 +522,11 @@ let run_grid exec ~config ~budget ~certify ~proof_sink ~bcache store ~target =
     let n = List.length grid in
     let cancels = Array.init n (fun _ -> Atomic.make false) in
     Sched.Pool.map pool
-      (fun (rank, ((_, (name, _)) as c)) ->
+      (fun (rank, c) ->
         if Atomic.get cancels.(rank) then
           (* a lower rank has already concluded: this cell can never
              be selected, so it is not run at all *)
-          { won = None; atts = []; proofs = []; name; bound = None }
+          { won = None; atts = []; proofs = [] }
         else
           let r =
             run_cell ~slice:(Obs.Budget.with_cancel budget cancels.(rank)) c
@@ -593,7 +544,6 @@ let run_grid exec ~config ~budget ~certify ~proof_sink ~bcache store ~target =
     with
     | Some (v, r) ->
       Option.iter (fun sink -> List.iter sink r.proofs) proof_sink;
-      store_bound bcache ~certify v r.name r.bound;
       v
     | None ->
       Inconclusive { attempts = List.concat_map (fun r -> r.atts) results }
@@ -619,9 +569,9 @@ let run_grid exec ~config ~budget ~certify ~proof_sink ~bcache store ~target =
   verdict
 
 let verify_portfolio ?(config = default) ?(budget = Obs.Budget.unlimited)
-    ?(certify = false) ?proof_sink ?pool ?(jobs = 1) ?bcache net ~target =
+    ?(certify = false) ?proof_sink ?pool ?(jobs = 1) net ~target =
   let run exec =
-    run_grid exec ~config ~budget ~certify ~proof_sink ~bcache
+    run_grid exec ~config ~budget ~certify ~proof_sink
       (Pipeline.Store.create net) ~target
   in
   match pool with
@@ -629,8 +579,8 @@ let verify_portfolio ?(config = default) ?(budget = Obs.Budget.unlimited)
   | None when jobs <= 1 -> run In_domain
   | None -> Sched.Pool.with_pool ~jobs (fun p -> run (On_pool p))
 
-let verify ?config ?budget ?certify ?proof_sink ?bcache net ~target =
-  verify_portfolio ?config ?budget ?certify ?proof_sink ?bcache net ~target
+let verify ?config ?budget ?certify ?proof_sink net ~target =
+  verify_portfolio ?config ?budget ?certify ?proof_sink net ~target
 
 (* one store for every target; each target's proofs are buffered and
    handed over, with its verdict, on the calling domain in order *)
@@ -646,7 +596,7 @@ let verify_all ?(config = default) ?(budget = Obs.Budget.unlimited)
     let proof_sink = Option.map (fun _ p -> proofs := p :: !proofs) proof_sink in
     let v =
       run_grid In_domain ~config ~budget:(Obs.Budget.slice budget ~ways)
-        ~certify ~proof_sink ~bcache:None store ~target
+        ~certify ~proof_sink store ~target
     in
     (target, v, List.rev !proofs)
   in
@@ -662,31 +612,24 @@ let verify_all ?(config = default) ?(budget = Obs.Budget.unlimited)
 
 type cache_status = Cache_hit | Cache_miss
 
-(* The configuration digest folded into every cache key.  The verdict
-   key includes [cutoff] (it decides whether a bound concludes); the
-   bound key omits it — a completeness bound is a property of the cone,
-   valid under any cutoff.  The budget is in neither: a conclusive,
-   certified verdict holds regardless of how much time the run that
-   produced it was allowed. *)
-let config_digest ~with_cutoff c =
+(* The configuration digest folded into the cache key.  The budget is
+   not in it: a conclusive, certified verdict holds regardless of how
+   much time the run that produced it was allowed. *)
+let config_digest c =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "cfg:%s:%d:%d:%d:%d:%d:%s"
-          (if with_cutoff then string_of_int c.cutoff else "-")
-          c.probe_depth c.enlargement_k c.enlargement_reg_limit
-          c.recurrence_limit c.induction_max_k
+       (Printf.sprintf "cfg:%d:%d:%d:%d:%d:%d:%s" c.cutoff c.probe_depth
+          c.enlargement_k c.enlargement_reg_limit c.recurrence_limit
+          c.induction_max_k
           (Backend.spec_id (spec_of c))))
 
-let cache_keys ?(config = default) ~certify net ~target =
-  let tlit = check_target net target in
-  let fp = Net.cone_fingerprint net tlit in
-  ( Printf.sprintf "v:%s:%s:%b" fp (config_digest ~with_cutoff:true config)
-      certify,
-    Printf.sprintf "b:%s:%s:" fp (config_digest ~with_cutoff:false config) )
+let cache_key ?(config = default) ~certify net ~target =
+  let fp = Net.cone_fingerprint net (check_target net target) in
+  Printf.sprintf "v:%s:%s:%b" fp (config_digest config) certify
 
 let verify_cached ?(config = default) ?budget ?(certify = false) ~cache net
     ~target =
-  let vkey, bprefix = cache_keys ~config ~certify net ~target in
+  let vkey = cache_key ~config ~certify net ~target in
   match Bcache.find cache vkey with
   | Some (Bcache.Proved { strategy; depth }) ->
     let v = Proved { strategy; depth } in
@@ -696,10 +639,8 @@ let verify_cached ?(config = default) ?budget ?(certify = false) ~cache net
     let v = Violated { strategy; cex } in
     count_verdict v;
     (v, Cache_hit)
-  | Some (Bcache.Bound _) (* never stored under a "v:" key *) | None ->
-    let v =
-      verify ~config ?budget ~certify ~bcache:(cache, bprefix) net ~target
-    in
+  | None ->
+    let v = verify ~config ?budget ~certify net ~target in
     (if certify then
        match v with
        | Proved { strategy; depth } ->

@@ -39,10 +39,9 @@
 
     {b One driver, two executors.}  {!verify} and {!verify_portfolio}
     run the same grid runner: it checks the target, builds the cell
-    grid and seeds it from the bound cache, runs every cell with its
-    own proof buffer, then selects the {e lowest-ranked} conclusive
-    cell, replays only that cell's proofs into [proof_sink], stores
-    only its bound, counts the verdict and opens the one trace span
+    grid, runs every cell with its own proof buffer, then selects the
+    {e lowest-ranked} conclusive cell, replays only that cell's proofs
+    into [proof_sink], counts the verdict and opens the one trace span
     ["engine.verify"].  Only the executor differs:
 
     - {e in-domain} ({!verify}, and {!verify_portfolio} without a pool
@@ -129,7 +128,6 @@ val verify :
   ?budget:Obs.Budget.t ->
   ?certify:bool ->
   ?proof_sink:(Sat.Proof.t -> unit) ->
-  ?bcache:Bcache.t * string ->
   Netlist.Net.t ->
   target:string ->
   verdict
@@ -170,17 +168,7 @@ val verify :
     additionally bumps ["engine.budget_exhausted"] and
     ["budget.exhausted.engine"] — unless the budget's cancellation
     token is set (on the pool: a lower rank concluded), which is a
-    stand-down, not exhaustion.
-
-    [bcache] is [(cache, key_prefix)]: each ladder strategy probes
-    [key_prefix ^ strategy] for a previously certified completeness
-    bound and, on a hit, skips its analysis and discharges the cached
-    bound directly (BMC run and certification repeated in full, so a
-    seeded ladder can only conclude what a fresh one would); when the
-    selected cell's certified [Proved] carries a bound, it is stored
-    back under the same key.  Seeding and storing both happen on the
-    calling domain.  Callers normally reach this through
-    {!verify_cached} rather than directly. *)
+    stand-down, not exhaustion. *)
 
 val verify_portfolio :
   ?config:config ->
@@ -189,7 +177,6 @@ val verify_portfolio :
   ?proof_sink:(Sat.Proof.t -> unit) ->
   ?pool:Sched.Pool.t ->
   ?jobs:int ->
-  ?bcache:Bcache.t * string ->
   Netlist.Net.t ->
   target:string ->
   verdict
@@ -219,19 +206,13 @@ val verify_all :
 
 type cache_status = Cache_hit | Cache_miss
 
-val cache_keys :
-  ?config:config ->
-  certify:bool ->
-  Netlist.Net.t ->
-  target:string ->
-  string * string
-(** [(verdict_key, bound_key_prefix)] for this problem.  Both embed
+val cache_key :
+  ?config:config -> certify:bool -> Netlist.Net.t -> target:string -> string
+(** The verdict key ["v:<fp>:<digest>:<certify>"] for this problem:
     {!Netlist.Net.cone_fingerprint} of the target's cone — structural,
     so build order and names outside the cone do not matter — plus a
-    digest of [config] ([verdict_key] as ["v:<fp>:<digest>:<certify>"];
-    the bound prefix ["b:<fp>:<digest'>:"] omits [cutoff], a
-    completeness bound being valid under any cutoff).  A purge of
-    every entry about one cone matches the fingerprint substring.
+    digest of [config].  A purge of every entry about one cone matches
+    the fingerprint substring.
     @raise Invalid_argument on an unknown target name. *)
 
 val verify_cached :
@@ -244,10 +225,9 @@ val verify_cached :
   verdict * cache_status
 (** {!verify} in front of a {!Bcache}: a cached conclusive
     verdict for the same cone fingerprint and configuration is
-    returned without running anything ([Cache_hit]); otherwise the
-    ladder runs with per-strategy bound seeding (see {!verify}) and,
-    when [certify] is on, a conclusive verdict is stored back
-    ([Cache_miss]).  Only {e certified} conclusive verdicts ever enter
+    returned without running anything ([Cache_hit]); otherwise
+    {!verify} runs and, when [certify] is on, a conclusive verdict is
+    stored back ([Cache_miss]).  Only {e certified} conclusive verdicts ever enter
     the cache — [Inconclusive] outcomes and uncertified runs are never
     cached, so the cache cannot launder an unchecked answer; budget is
     deliberately not part of the key (a certified verdict holds

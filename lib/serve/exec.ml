@@ -82,8 +82,8 @@ let budget_of ?override (r : Request.t) =
     | Some ms ->
       Obs.Budget.create ~timeout_s:(float_of_int (max 0 ms) /. 1000.) ())
 
-(* the cone fingerprint inside a cache key: both "v:<fp>:..." and
-   "b:<fp>:..." embed the 32-hex-char MD5 right after the kind tag *)
+(* the cone fingerprint inside a cache key: "v:<fp>:..." embeds the
+   32-hex-char MD5 right after the kind tag *)
 let fp_of_vkey vkey = String.sub vkey 2 32
 
 (* fallback correlation ids for front-ends that pass none (diam
@@ -198,7 +198,7 @@ let run ~cache ~chaos_seed ?budget ?corr (r : Request.t) =
                    only a CONCLUSIVE disagreement convicts an entry *)
                 Verdict { verdict = v; body = body_of_verdict v; cache = "hit" }
               else begin
-                let vkey, _ = Engine.cache_keys ~config ~certify net ~target in
+                let vkey = Engine.cache_key ~config ~certify net ~target in
                 let fp = fp_of_vkey vkey in
                 let holds_fp k =
                   String.length k >= 34 && String.equal (String.sub k 2 32) fp

@@ -572,41 +572,58 @@ let run_stdio cfg =
   ignore (run_session cfg ~input ~output () : ending);
   0
 
+(* a listening Unix-domain socket at [path], or why there is none *)
+let listen_at path =
+  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error (e, _, _) -> Error e
+  | sock -> (
+    match
+      Unix.bind sock (Unix.ADDR_UNIX path);
+      Unix.listen sock 8
+    with
+    | () -> Ok sock
+    | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      Error e)
+
 let run_socket cfg ~path =
   (* one shared cache across connections: the whole point of a
      long-lived server is that later sessions hit what earlier ones
      proved *)
   let cache = make_cache cfg in
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let cleanup_path () =
     try Unix.unlink path with Unix.Unix_error _ -> () | Sys_error _ -> ()
   in
   cleanup_path ();
-  Unix.bind sock (Unix.ADDR_UNIX path);
-  Unix.listen sock 8;
-  (* sequential accept: one JSONL session at a time, each with its own
-     pool; parallelism lives inside a session (--jobs), not across
-     connections *)
-  let rec accept_loop () =
-    let fd, _ = Unix.accept sock in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let input () = try Some (input_line ic) with End_of_file -> None in
-    let output line =
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
+  match listen_at path with
+  | Error e ->
+    (* an unusable path is an input error, like an unreadable netlist *)
+    Printf.eprintf "%s: cannot listen: %s\n%!" path (Unix.error_message e);
+    2
+  | Ok sock ->
+    (* sequential accept: one JSONL session at a time, each with its
+       own pool; parallelism lives inside a session (--jobs), not
+       across connections *)
+    let rec accept_loop () =
+      let fd, _ = Unix.accept sock in
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      let input () = try Some (input_line ic) with End_of_file -> None in
+      let output line =
+        output_string oc line;
+        output_char oc '\n';
+        flush oc
+      in
+      let ending =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () -> run_session ~cache cfg ~input ~output ())
+      in
+      match ending with Shutdown_requested -> () | Eof -> accept_loop ()
     in
-    let ending =
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> run_session ~cache cfg ~input ~output ())
-    in
-    match ending with Shutdown_requested -> () | Eof -> accept_loop ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      cleanup_path ())
-    accept_loop;
-  0
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.close sock with Unix.Unix_error _ -> ());
+        cleanup_path ())
+      accept_loop;
+    0

@@ -19,8 +19,8 @@
       session stops reading input — deterministic pipe backpressure);
       with it, a full queue sheds load as
       [{"error":"overloaded","retry_after_ms":N}].
-    - {e Bound cache}: verdicts and strategy bounds keyed by canonical
-      cone fingerprint, LRU-evicted under [cache_mb], with hit/miss/
+    - {e Verdict cache}: certified verdicts keyed by canonical cone
+      fingerprint and configuration, LRU-evicted under [cache_mb], with hit/miss/
       eviction counters and ["serve.latency_us"] percentiles in the
       stats snapshot.  Exact duplicate requests coalesce onto the
       in-flight leader and are answered as cache hits.
@@ -49,7 +49,7 @@ type config = {
   queue_limit : int option;
       (** admission queue bound; [Some _] switches admission from
           blocking to load-shedding *)
-  cache_mb : int;  (** bound cache budget, megabytes *)
+  cache_mb : int;  (** verdict cache budget, megabytes *)
   chaos_seed : int option;
       (** arms the chaos drill ops and the differential replay of
           cache hits; [None] in production *)
@@ -91,6 +91,7 @@ val run_stdio : config -> int
 val run_socket : config -> path:string -> int
 (** Bind a Unix-domain socket at [path] (replacing a stale one) and
     serve one connection at a time, each connection being one JSONL
-    session; the bound cache is shared across connections.  A
+    session; the verdict cache is shared across connections.  A
     ["shutdown"] request ends the server after its session; EOF on a
-    connection only ends that session. *)
+    connection only ends that session.  A path that cannot be bound
+    prints ["PATH: cannot listen: <reason>"] to stderr and returns 2. *)

@@ -347,6 +347,35 @@ grep -q '"serve.cache.hits": *[1-9]' "$tmpdir/serve1.json" \
   || { echo "ci: serve cache never hit (FAIL)"; exit 1; }
 echo "ci: serve drill ok"
 
+# Batch determinism: diam batch runs every (netlist, target) pair
+# through the serve request path and its verdict cache.  Its verdict
+# lines must not depend on --jobs once attempt timings are stripped,
+# and it exits 1 because counter3 and ring5 have violated targets.
+# The same cone twice must be answered from the one cached verdict per
+# target: two hits, two entries (a certified verdict is all the cache
+# ever holds).
+for jobs in 1 2; do
+  rc=0
+  timeout 300 dune exec bin/diam_tool.exe -- batch examples/*.bench \
+    test/repros/*.bench --certify --jobs "$jobs" \
+    > "$tmpdir/batch$jobs.out" || rc=$?
+  [ "$rc" = 1 ] \
+    || { cat "$tmpdir/batch$jobs.out"; echo "ci: batch --jobs $jobs exit $rc, want 1 (FAIL)"; exit 1; }
+  sed -E 's/\([0-9.]+ms\)//g' "$tmpdir/batch$jobs.out" > "$tmpdir/batch$jobs.lines"
+done
+diff -u "$tmpdir/batch1.lines" "$tmpdir/batch2.lines" \
+  || { echo "ci: batch verdict lines differ across --jobs (FAIL)"; exit 1; }
+rc=0
+timeout 120 dune exec bin/diam_tool.exe -- batch examples/ring5.bench \
+  examples/ring5.bench --certify --stats-json "$tmpdir/batch.json" \
+  > /dev/null || rc=$?
+[ "$rc" = 1 ] || { echo "ci: repeated ring5 batch exit $rc, want 1 (FAIL)"; exit 1; }
+grep -q '"serve.cache.hits": *2[,}]' "$tmpdir/batch.json" \
+  || { echo "ci: repeated ring5 batch did not hit twice (FAIL)"; exit 1; }
+grep -q '"serve.cache.entries": *2[,}]' "$tmpdir/batch.json" \
+  || { echo "ci: repeated ring5 batch did not leave 2 entries (FAIL)"; exit 1; }
+echo "ci: batch determinism ok"
+
 # Serve saturation: one worker, a one-slot queue, chaos armed.  A
 # poisoned worker must be respawned (restarts >= 1), a stalled worker
 # must force load-shedding (shed >= 1, overloaded response), and the

@@ -127,7 +127,7 @@ let prop_strash_no_duplicates =
           | Net.Const | Net.Input _ | Net.Reg _ | Net.Latch _ -> ());
       !ok)
 
-(* ---- canonical fingerprints (the serve bound-cache key) ---- *)
+(* ---- canonical fingerprints (the serve verdict-cache key) ---- *)
 
 let test_fingerprint_build_order () =
   (* the same structure built in two different vertex orders (inputs

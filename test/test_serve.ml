@@ -1,4 +1,4 @@
-(* diam serve: the wire schema, the LRU bound cache, the per-request
+(* diam serve: the wire schema, the LRU verdict cache, the per-request
    exception barrier, and full in-memory session drills (supervision,
    backpressure, chaos-tested cache coherence). *)
 
@@ -92,7 +92,7 @@ let test_coalesce_key () =
   Helpers.check_bool "only verify coalesces" true
     (Request.coalesce_key (req {|{"op":"ping"}|}) = None)
 
-(* ---- the LRU bound cache ---- *)
+(* ---- the LRU verdict cache ---- *)
 
 let proved_payload = Bcache.Proved { strategy = "s"; depth = 1 }
 
@@ -110,9 +110,9 @@ let test_bcache_lru_eviction () =
   Helpers.check_bool "k1 hit" true (Bcache.find c "k1" <> None);
   Bcache.add c "k3" proved_payload;
   Helpers.check_int "evicted down to budget" 2 (Bcache.length c);
-  Helpers.check_bool "recently-used survived" true (Bcache.peek c "k1" <> None);
-  Helpers.check_bool "cold end evicted" true (Bcache.peek c "k2" = None);
-  Helpers.check_bool "new entry resident" true (Bcache.peek c "k3" <> None)
+  Helpers.check_bool "recently-used survived" true (Bcache.find c "k1" <> None);
+  Helpers.check_bool "cold end evicted" true (Bcache.find c "k2" = None);
+  Helpers.check_bool "new entry resident" true (Bcache.find c "k3" <> None)
 
 let test_bcache_oversize_refused () =
   let probe = Bcache.create ~max_bytes:mb () in
@@ -127,21 +127,21 @@ let test_bcache_purge () =
   let c = fresh_cache () in
   Bcache.add c "v:aa:1" proved_payload;
   Bcache.add c "v:aa:2" proved_payload;
-  Bcache.add c "b:bb:1" proved_payload;
+  Bcache.add c "v:bb:1" proved_payload;
   let n =
     Bcache.purge c (fun k _ -> String.length k >= 4 && String.sub k 2 2 = "aa")
   in
   Helpers.check_int "purged the fingerprint's entries" 2 n;
   Helpers.check_int "others survive" 1 (Bcache.length c);
   Helpers.check_bool "survivor is the other cone" true
-    (Bcache.peek c "b:bb:1" <> None)
+    (Bcache.find c "v:bb:1" <> None)
 
 let test_bcache_replace_updates_bytes () =
   let c = fresh_cache () in
   Bcache.add c "k" proved_payload;
   let b1 = Bcache.bytes c in
   Bcache.add c "k"
-    (Bcache.Bound { strategy = "a-much-longer-strategy-name"; raw = Core.Sat_bound.of_int 3 });
+    (Bcache.Proved { strategy = "a-much-longer-strategy-name"; depth = 3 });
   Helpers.check_int "still one entry" 1 (Bcache.length c);
   Helpers.check_bool "byte estimate tracked the replacement" true
     (Bcache.bytes c <> b1)
@@ -232,7 +232,7 @@ let test_exec_poisoned_hit_purged () =
      the cone's entries and serve the fresh answer *)
   let cache = fresh_cache () in
   let net = Textio.Bench_io.parse proved_bench in
-  let vkey, _ = Engine.cache_keys ~certify:true net ~target:"t0" in
+  let vkey = Engine.cache_key ~certify:true net ~target:"t0" in
   Bcache.add cache vkey (Bcache.Proved { strategy = "bogus"; depth = 42 });
   let purged_before = counter "serve.cache.poisoned_purged" in
   (match Exec.run ~cache ~chaos_seed:(Some 11) (verify_req ()) with
@@ -245,7 +245,22 @@ let test_exec_poisoned_hit_purged () =
       | _ -> false));
   Helpers.check_bool "purge counted" true
     (counter "serve.cache.poisoned_purged" > purged_before);
-  Helpers.check_bool "poisoned entry gone" true (Bcache.peek cache vkey = None)
+  Helpers.check_bool "poisoned entry gone" true (Bcache.find cache vkey = None)
+
+let test_exec_key_separates_configs () =
+  (* the one cache key must still tell configurations apart: a cutoff
+     or certification change is a different question about the cone *)
+  let cache = fresh_cache () in
+  let answer what ?cutoff ?certify want =
+    match Exec.run ~cache ~chaos_seed:None (verify_req ?cutoff ?certify ()) with
+    | Exec.Verdict { cache = c; _ } -> Helpers.check Alcotest.string what want c
+    | Exec.Failed { detail; _ } -> Alcotest.failf "%s failed: %s" what detail
+  in
+  answer "default cutoff, first" "miss";
+  answer "default cutoff, again" "hit";
+  answer "cutoff 9, first" ~cutoff:9 "miss";
+  answer "cutoff 9, again" ~cutoff:9 "hit";
+  answer "uncertified" ~certify:false "miss"
 
 (* ---- full sessions ---- *)
 
@@ -590,6 +605,15 @@ let test_session_eof_releases_stalls () =
   Helpers.check_int "stall answered at eof" 1 (List.length out);
   check_contains "ok" {|"ok":true|} (List.nth out 0)
 
+let test_socket_unbindable_path () =
+  (* a path under a regular file cannot be bound: an input error (2),
+     not an escaped Unix_error *)
+  let file = Filename.temp_file "diam-serve" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Helpers.check_int "exit code" 2
+    (Server.run_socket Server.default_config
+       ~path:(Filename.concat file "x.sock"))
+
 let suite =
   [
     Alcotest.test_case "request roundtrip" `Quick test_parse_roundtrip;
@@ -610,6 +634,10 @@ let suite =
       test_exec_uncertified_not_cached;
     Alcotest.test_case "poisoned cache hit purged by replay" `Quick
       test_exec_poisoned_hit_purged;
+    Alcotest.test_case "exec cache key separates configurations" `Quick
+      test_exec_key_separates_configs;
+    Alcotest.test_case "socket: unbindable path is an input error" `Quick
+      test_socket_unbindable_path;
     Alcotest.test_case "session: mixed corpus, jobs-independent" `Quick
       test_session_mixed;
     Alcotest.test_case "session: adjacent duplicates read as hits" `Quick
