@@ -258,7 +258,9 @@ let serve_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:"Serve connections on a Unix-domain socket at $(docv) (one \
                 JSONL session per connection, verdict cache shared across \
-                them) instead of a single stdin/stdout session")
+                them) instead of a single stdin/stdout session.  A stale \
+                socket at $(docv) is replaced; any other file there is \
+                left alone and the server exits 2")
   in
   let chaos_seed =
     let env =

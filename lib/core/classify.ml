@@ -29,24 +29,6 @@ let init_value = function
   | Net.Init1 -> Sim.V1
   | Net.Init_x -> Sim.Vx
 
-(* Evaluate the combinational logic with the given state-element values
-   and all inputs unknown. *)
-let eval_comb net within state =
-  let n = Net.num_vars net in
-  let vals = Array.make n Sim.Vx in
-  let value_of l =
-    let v = vals.(Lit.var l) in
-    if Lit.is_neg l then Sim.v_not v else v
-  in
-  Net.iter_nodes net (fun v node ->
-      if within v then
-        match node with
-        | Net.Const -> vals.(v) <- Sim.V0
-        | Net.Input _ -> vals.(v) <- Sim.Vx
-        | Net.And (a, b) -> vals.(v) <- Sim.v_and (value_of a) (value_of b)
-        | Net.Reg _ | Net.Latch _ -> vals.(v) <- state v);
-  vals
-
 let state_elems net within =
   List.filter within (Net.regs net @ Net.latches net)
 
@@ -62,30 +44,54 @@ let init_of net v =
   | Net.Latch l -> l.Net.l_init
   | Net.Const | Net.Input _ | Net.And _ -> invalid_arg "Classify.init_of"
 
+(* value of a raw literal ([Lit.to_int]) *)
+let[@inline] lit_value (vals : Sim.value array) l =
+  let x = vals.(l lsr 1) in
+  if l land 1 = 0 then x else Sim.v_not x
+
 let constant_regs net within =
-  let elems = state_elems net within in
-  let state = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace state v (init_value (init_of net v))) elems;
-  let lookup v = Option.value (Hashtbl.find_opt state v) ~default:Sim.Vx in
+  let elems = Array.of_list (state_elems net within) in
+  let n = Net.num_vars net in
+  (* state-element values, by variable *)
+  let state = Array.make n Sim.Vx in
+  Array.iter (fun v -> state.(v) <- init_value (init_of net v)) elems;
+  let edges = Array.map (fun v -> Lit.to_int (data_edge net v)) elems in
+  (* one evaluation buffer for every iteration: inputs and vertices
+     outside [within] stay unknown, the constant is set once, and the
+     ANDs in [within], packed as (vertex, fanin, fanin) triples, are
+     re-evaluated in vertex order *)
+  let vals = Array.make n Sim.Vx in
+  let gates = ref [] in
+  Net.iter_nodes net (fun v node ->
+      if within v then
+        match node with
+        | Net.Const -> vals.(v) <- Sim.V0
+        | Net.And (a, b) -> gates := Lit.to_int b :: Lit.to_int a :: v :: !gates
+        | Net.Input _ | Net.Reg _ | Net.Latch _ -> ());
+  let gates = Array.of_list (List.rev !gates) in
   let rec fixpoint budget =
-    let vals = eval_comb net within lookup in
-    let value_of l =
-      let x = vals.(Lit.var l) in
-      if Lit.is_neg l then Sim.v_not x else x
-    in
+    Array.iter (fun v -> vals.(v) <- state.(v)) elems;
+    for i = 0 to (Array.length gates / 3) - 1 do
+      let j = 3 * i in
+      vals.(gates.(j)) <-
+        Sim.v_and (lit_value vals gates.(j + 1)) (lit_value vals gates.(j + 2))
+    done;
     let changed = ref false in
-    List.iter
-      (fun v ->
-        let next = value_of (data_edge net v) in
-        let merged = join (lookup v) next in
-        if merged <> lookup v then begin
-          Hashtbl.replace state v merged;
+    Array.iteri
+      (fun i v ->
+        let merged = join state.(v) (lit_value vals edges.(i)) in
+        if merged <> state.(v) then begin
+          state.(v) <- merged;
           changed := true
         end)
       elems;
     if !changed && budget > 0 then fixpoint (budget - 1)
   in
-  fixpoint (List.length elems + 2);
+  fixpoint (Array.length elems + 2);
+  (* [analyze] numbers the constant components in this table's order:
+     fill it as it always was, through a table keyed in [elems] order *)
+  let by_elem = Hashtbl.create 64 in
+  Array.iter (fun v -> Hashtbl.replace by_elem v state.(v)) elems;
   let out = Hashtbl.create 16 in
   Hashtbl.iter
     (fun v value ->
@@ -93,7 +99,7 @@ let constant_regs net within =
       | Sim.V0 -> Hashtbl.replace out v false
       | Sim.V1 -> Hashtbl.replace out v true
       | Sim.Vx -> ())
-    state;
+    by_elem;
   out
 
 (* The inputs and state elements that [Coi.combinational net roots]

@@ -6,42 +6,55 @@ type t = {
   solver : Solver.solver;
   net : Net.t;
   vars : int array; (* netlist var -> solver var, -1 if not yet encoded *)
-  const_var : int;
 }
 
 let create solver net =
   let const_var = Solver.new_var solver in
   Solver.add_clause solver [ Solver.neg_of const_var ];
-  { solver; net; vars = Array.make (Net.num_vars net) (-1); const_var }
+  let vars = Array.make (Net.num_vars net) (-1) in
+  vars.(0) <- const_var;
+  { solver; net; vars }
 
 let solver t = t.solver
 
-let rec var t v =
-  if t.vars.(v) >= 0 then t.vars.(v)
-  else begin
-    match Net.node t.net v with
-    | Net.Const -> t.const_var
-    | Net.Input _ | Net.Reg _ | Net.Latch _ ->
-      let sv = Solver.new_var t.solver in
-      t.vars.(v) <- sv;
-      sv
-    | Net.And (a, b) ->
-      let sa = slit t a in
-      let sb = slit t b in
-      let sv = Solver.new_var t.solver in
-      t.vars.(v) <- sv;
-      let c = Solver.pos sv in
-      Solver.add_clause t.solver [ Solver.negate c; sa ];
-      Solver.add_clause t.solver [ Solver.negate c; sb ];
-      Solver.add_clause t.solver [ c; Solver.negate sa; Solver.negate sb ];
-      sv
-  end
-
-and slit t l =
-  let sv = var t (Lit.var l) in
+let slit_of t l =
+  let sv = t.vars.(Lit.var l) in
   if Lit.is_neg l then Solver.neg_of sv else Solver.pos sv
 
-let lit = slit
+(* Encode the cone of [v] depth first on an explicit stack, in the
+   order a recursive encoding would: fanin [a]'s cone, then [b]'s, then
+   the AND's variable and its three clauses. *)
+let var t v =
+  if t.vars.(v) < 0 then begin
+    let stack = Stack.create () in
+    Stack.push v stack;
+    while not (Stack.is_empty stack) do
+      let u = Stack.top stack in
+      match Net.node t.net u with
+      | Net.Const -> assert false (* vars.(0) is set in [create] *)
+      | Net.Input _ | Net.Reg _ | Net.Latch _ ->
+        t.vars.(u) <- Solver.new_var t.solver;
+        ignore (Stack.pop stack)
+      | Net.And (a, b) ->
+        if t.vars.(Lit.var a) < 0 then Stack.push (Lit.var a) stack
+        else if t.vars.(Lit.var b) < 0 then Stack.push (Lit.var b) stack
+        else begin
+          let sa = slit_of t a and sb = slit_of t b in
+          let sv = Solver.new_var t.solver in
+          t.vars.(u) <- sv;
+          let c = Solver.pos sv in
+          Solver.add_clause t.solver [ Solver.negate c; sa ];
+          Solver.add_clause t.solver [ Solver.negate c; sb ];
+          Solver.add_clause t.solver [ c; Solver.negate sa; Solver.negate sb ];
+          ignore (Stack.pop stack)
+        end
+    done
+  end;
+  t.vars.(v)
+
+let lit t l =
+  ignore (var t (Lit.var l));
+  slit_of t l
 
 let state_var t v =
   if not (Net.is_state t.net v) then invalid_arg "Frame.state_var";

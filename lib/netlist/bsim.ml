@@ -1,15 +1,38 @@
+open Bigarray
+
+(* One unboxed 64-bit word per vertex.  The concrete element kind lets
+   ocamlopt inline every access; a polymorphic Bigarray access goes
+   through a C call and boxes its result. *)
+type words = (int64, int64_elt, c_layout) Array1.t
+
+(* The netlist is compiled once in [create], so it must not change
+   afterwards.  Literals are kept raw ([Lit.to_int]): a word lookup is
+   a shift and a mask. *)
 type state = {
   net : Net.t;
-  vals : int64 array;
-  held : int64 array;
+  inputs : int array; (* Net.inputs order: the order of the random draws *)
+  regs : int array;
+  nexts : int array; (* next-state literal of regs.(i) *)
+  latches : int array;
+  ands : int array; (* vertex, fanin, fanin triples in vertex order *)
+  vals : words;
+  held : words; (* state-element values carried to the next step *)
+  inw : words; (* this step's input words; latch netlists only *)
   rng : Random.State.t;
   mutable now : int;
 }
 
+let words n =
+  let w = Array1.create int64 c_layout n in
+  Array1.fill w 0L;
+  w
+
 let create ~seed net =
   let n = Net.num_vars net in
   let rng = Random.State.make [| seed; 0x5eed |] in
-  let held = Array.make n 0L in
+  let held = words n in
+  let ands = Array.make (3 * Net.num_ands net) 0 in
+  let k = ref 0 in
   Net.iter_nodes net (fun v node ->
       let init_word = function
         | Net.Init0 -> 0L
@@ -17,62 +40,96 @@ let create ~seed net =
         | Net.Init_x -> Random.State.int64 rng Int64.max_int
       in
       match node with
-      | Net.Reg r -> held.(v) <- init_word r.Net.r_init
-      | Net.Latch l -> held.(v) <- init_word l.Net.l_init
-      | Net.Const | Net.Input _ | Net.And _ -> ());
-  { net; vals = Array.make n 0L; held; rng; now = 0 }
+      | Net.Reg r -> held.{v} <- init_word r.Net.r_init
+      | Net.Latch l -> held.{v} <- init_word l.Net.l_init
+      | Net.And (a, b) ->
+        ands.(!k) <- v;
+        ands.(!k + 1) <- Lit.to_int a;
+        ands.(!k + 2) <- Lit.to_int b;
+        k := !k + 3
+      | Net.Const | Net.Input _ -> ());
+  let regs = Array.of_list (Net.regs net) in
+  let latches = Array.of_list (Net.latches net) in
+  {
+    net;
+    inputs = Array.of_list (Net.inputs net);
+    regs;
+    nexts = Array.map (fun r -> Lit.to_int (Net.reg_of net r).Net.next) regs;
+    latches;
+    ands;
+    vals = words n;
+    held;
+    inw = words (if Array.length latches = 0 then 0 else n);
+    rng;
+    now = 0;
+  }
 
 let net s = s.net
 let time s = s.now
 
-let lit_word vals l =
-  let w = vals.(Lit.var l) in
-  if Lit.is_neg l then Int64.lognot w else w
+(* word of a raw literal: the sign bit, spread over 64 lanes, flips it *)
+let[@inline] lit_word (vals : words) l =
+  Int64.logxor vals.{l lsr 1} (Int64.of_int (-(l land 1)))
 
-let word s l = lit_word s.vals l
+let word s l = lit_word s.vals (Lit.to_int l)
 
-let sweep s phase input_words =
+let random_word rng =
+  Int64.logxor
+    (Random.State.int64 rng Int64.max_int)
+    (Int64.shift_left (Random.State.int64 rng Int64.max_int) 1)
+
+(* Without latches the combinational logic is acyclic and an AND only
+   reads lower vertices, so one pass in vertex order is the fixpoint. *)
+let eval_acyclic s =
+  let vals = s.vals and held = s.held and ands = s.ands in
+  Array.iter (fun v -> vals.{v} <- random_word s.rng) s.inputs;
+  Array.iter (fun r -> vals.{r} <- held.{r}) s.regs;
+  for i = 0 to (Array.length ands / 3) - 1 do
+    let j = 3 * i in
+    vals.{ands.(j)} <-
+      Int64.logand (lit_word vals ands.(j + 1)) (lit_word vals ands.(j + 2))
+  done
+
+(* Transparent latches may read forward, so relax to a fixpoint. *)
+let sweep s phase =
+  let vals = s.vals in
   let changed = ref false in
   let set v x =
-    if not (Int64.equal s.vals.(v) x) then begin
-      s.vals.(v) <- x;
+    if not (Int64.equal vals.{v} x) then begin
+      vals.{v} <- x;
       changed := true
     end
   in
   Net.iter_nodes s.net (fun v node ->
       match node with
       | Net.Const -> set v 0L
-      | Net.Input _ -> set v input_words.(v)
+      | Net.Input _ -> set v s.inw.{v}
       | Net.And (a, b) ->
-        set v (Int64.logand (lit_word s.vals a) (lit_word s.vals b))
-      | Net.Reg _ -> set v s.held.(v)
+        set v
+          (Int64.logand (lit_word vals (Lit.to_int a))
+             (lit_word vals (Lit.to_int b)))
+      | Net.Reg _ -> set v s.held.{v}
       | Net.Latch l ->
-        if l.Net.l_phase = phase then set v (lit_word s.vals l.Net.l_data)
-        else set v s.held.(v));
+        if l.Net.l_phase = phase then
+          set v (lit_word vals (Lit.to_int l.Net.l_data))
+        else set v s.held.{v});
   !changed
 
-let step_random s =
-  let n = Net.num_vars s.net in
-  let input_words = Array.make n 0L in
-  List.iter
-    (fun v ->
-      input_words.(v) <-
-        Int64.logxor
-          (Random.State.int64 s.rng Int64.max_int)
-          (Int64.shift_left (Random.State.int64 s.rng Int64.max_int) 1))
-    (Net.inputs s.net);
+let settle s =
+  Array.iter (fun v -> s.inw.{v} <- random_word s.rng) s.inputs;
   let phase = s.now mod Net.phases s.net in
-  let rec settle budget =
-    if sweep s phase input_words then
+  let rec loop budget =
+    if sweep s phase then
       if budget = 0 then failwith "Bsim.step_random: latch cycle"
-      else settle (budget - 1)
+      else loop (budget - 1)
   in
-  settle (Net.num_vars s.net + 2);
-  Net.iter_nodes s.net (fun v node ->
-      match node with
-      | Net.Reg r -> s.held.(v) <- lit_word s.vals r.Net.next
-      | Net.Latch _ -> s.held.(v) <- s.vals.(v)
-      | Net.Const | Net.Input _ | Net.And _ -> ());
+  loop (Net.num_vars s.net + 2)
+
+let step_random s =
+  if Array.length s.latches = 0 then eval_acyclic s else settle s;
+  let vals = s.vals and held = s.held in
+  Array.iteri (fun i r -> held.{r} <- lit_word vals s.nexts.(i)) s.regs;
+  Array.iter (fun l -> held.{l} <- vals.{l}) s.latches;
   s.now <- s.now + 1
 
 (* Signature combining: must satisfy sig(~v) = lognot (sig v) so that
@@ -87,19 +144,20 @@ let signatures ~seed ~steps net =
   let steps = if steps mod 2 = 0 then steps + 1 else steps in
   let s = create ~seed net in
   let n = Net.num_vars net in
-  let sigs = Array.make n 0L in
+  let vals = s.vals in
+  let sigs = words n in
   for i = 1 to steps do
     step_random s;
     let r = 1 + (i mod 62) in
     for v = 0 to n - 1 do
-      let w = s.vals.(v) in
+      let w = vals.{v} in
       let rotated =
         Int64.logor (Int64.shift_left w r) (Int64.shift_right_logical w (64 - r))
       in
-      sigs.(v) <- Int64.logxor sigs.(v) rotated
+      sigs.{v} <- Int64.logxor sigs.{v} rotated
     done
   done;
-  sigs
+  Array.init n (fun v -> sigs.{v})
 
 let canonical_signature s =
   let c = Int64.lognot s in

@@ -572,8 +572,7 @@ let run_stdio cfg =
   ignore (run_session cfg ~input ~output () : ending);
   0
 
-(* a listening Unix-domain socket at [path], or why there is none *)
-let listen_at path =
+let bind_at path =
   match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error e
   | sock -> (
@@ -586,15 +585,29 @@ let listen_at path =
       (try Unix.close sock with Unix.Unix_error _ -> ());
       Error e)
 
+(* What is at [path]: its kind and identity, if anything *)
+let file_id path =
+  match Unix.lstat path with
+  | st -> Some (st.Unix.st_kind, st.Unix.st_dev, st.Unix.st_ino)
+  | exception Unix.Unix_error _ -> None
+
+(* a listening Unix-domain socket at [path], or why there is none.  A
+   stale socket at [path] is replaced; any other file stays as it is. *)
+let listen_at path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
+    match Unix.unlink path with
+    | () -> bind_at path
+    | exception Unix.Unix_error (e, _, _) -> Error e)
+  | _ -> Error Unix.EEXIST
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> bind_at path
+  | exception Unix.Unix_error (e, _, _) -> Error e
+
 let run_socket cfg ~path =
   (* one shared cache across connections: the whole point of a
      long-lived server is that later sessions hit what earlier ones
      proved *)
   let cache = make_cache cfg in
-  let cleanup_path () =
-    try Unix.unlink path with Unix.Unix_error _ -> () | Sys_error _ -> ()
-  in
-  cleanup_path ();
   match listen_at path with
   | Error e ->
     (* an unusable path is an input error, like an unreadable netlist *)
@@ -621,9 +634,15 @@ let run_socket cfg ~path =
       in
       match ending with Shutdown_requested -> () | Eof -> accept_loop ()
     in
+    (* on exit, remove the socket this process bound, and only that *)
+    let ours = file_id path in
+    let cleanup () =
+      if ours <> None && file_id path = ours then
+        try Unix.unlink path with Unix.Unix_error _ -> ()
+    in
     Fun.protect
       ~finally:(fun () ->
         (try Unix.close sock with Unix.Unix_error _ -> ());
-        cleanup_path ())
+        cleanup ())
       accept_loop;
     0

@@ -89,9 +89,12 @@ val run_stdio : config -> int
     (0 — protocol-level failures are responses, not exits). *)
 
 val run_socket : config -> path:string -> int
-(** Bind a Unix-domain socket at [path] (replacing a stale one) and
+(** Bind a Unix-domain socket at [path] (replacing a stale socket) and
     serve one connection at a time, each connection being one JSONL
     session; the verdict cache is shared across connections.  A
     ["shutdown"] request ends the server after its session; EOF on a
-    connection only ends that session.  A path that cannot be bound
-    prints ["PATH: cannot listen: <reason>"] to stderr and returns 2. *)
+    connection only ends that session.  A path that cannot be bound,
+    or where something other than a socket already exists (left
+    untouched), prints ["PATH: cannot listen: <reason>"] to stderr and
+    returns 2.  On exit the socket is removed if it is still the one
+    this call bound. *)

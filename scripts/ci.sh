@@ -8,9 +8,9 @@ cd "$(dirname "$0")/.."
 timeout 300 dune build
 timeout 900 dune runtest
 
-# Deep netlists: a 100k-deep forward-referenced chain must parse, walk
-# and go through COM with the stack capped at 1M words, where
-# recursion overflows.
+# Deep netlists: a 100k-deep forward-referenced chain must parse, walk,
+# SAT-encode, simulate and go through COM with the stack capped at 1M
+# words, where recursion overflows.
 # Run the built binary directly so the cap does not apply to dune.
 OCAMLRUNPARAM=l=1M timeout 120 _build/default/test/deep/deep.exe \
   || { echo "ci: deep netlist (FAIL)"; exit 1; }
@@ -346,6 +346,22 @@ grep -q '"serve.cache.poisoned_purged": *0' "$tmpdir/serve1.json" \
 grep -q '"serve.cache.hits": *[1-9]' "$tmpdir/serve1.json" \
   || { echo "ci: serve cache never hit (FAIL)"; exit 1; }
 echo "ci: serve drill ok"
+
+# Socket path guard: diam serve --socket replaces only a stale socket.
+# A regular file at the path is a usage mistake: the server must exit
+# 2 and leave the file byte-identical.
+printf 'not a socket\n' > "$tmpdir/not-a-socket.txt"
+cp "$tmpdir/not-a-socket.txt" "$tmpdir/not-a-socket.orig"
+rc=0
+timeout 60 dune exec bin/diam_tool.exe -- serve \
+  --socket "$tmpdir/not-a-socket.txt" 2> "$tmpdir/socket.err" || rc=$?
+[ "$rc" = 2 ] \
+  || { echo "ci: serve --socket on a regular file exit $rc, want 2 (FAIL)"; exit 1; }
+grep -q "cannot listen" "$tmpdir/socket.err" \
+  || { echo "ci: serve --socket on a regular file gave no reason (FAIL)"; exit 1; }
+cmp -s "$tmpdir/not-a-socket.txt" "$tmpdir/not-a-socket.orig" \
+  || { echo "ci: serve --socket changed a regular file (FAIL)"; exit 1; }
+echo "ci: socket path guard ok"
 
 # Batch determinism: diam batch runs every (netlist, target) pair
 # through the serve request path and its verdict cache.  Its verdict

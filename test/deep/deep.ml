@@ -4,6 +4,7 @@
 module Net = Netlist.Net
 module Lit = Netlist.Lit
 module Coi = Netlist.Coi
+module Bsim = Netlist.Bsim
 
 let depth = 100_000
 
@@ -32,6 +33,25 @@ let () =
   check "the cone reads both inputs"
     (List.sort compare (Coi.leaves cone) = List.sort compare (Net.inputs net))
   ;
+  (* the SAT encoding of g0's cone: the constant, both inputs and one
+     variable per AND *)
+  let solver = Backend.create () in
+  ignore (Encode.Frame.lit (Encode.Frame.create solver net) g0 : Backend.lit);
+  check "one solver variable per vertex"
+    (Backend.num_vars solver = Net.num_vars net);
+  (* every link computes a & ~b, so every AND shares one signature *)
+  let sigs = Bsim.signatures ~seed:1 ~steps:31 net in
+  let chain_sig = sigs.(Lit.var g0) in
+  let links = ref 0 in
+  Net.iter_nodes net (fun v node ->
+      match node with
+      | Net.And _ -> if Int64.equal sigs.(v) chain_sig then incr links
+      | Net.Const | Net.Input _ | Net.Reg _ | Net.Latch _ -> ());
+  check "one signature along the chain" (!links = depth - 1);
+  check "the inputs' signatures differ from the chain's"
+    (List.for_all
+       (fun v -> not (Int64.equal sigs.(v) chain_sig))
+       (Net.inputs net));
   (* COM's first cleanup copy rebuilds the whole chain, and the report
      bounds its target.  The budget is already expired, so COM stops
      there: its SAT sweep would check each of the 100k equivalent

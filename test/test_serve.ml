@@ -614,6 +614,18 @@ let test_socket_unbindable_path () =
     (Server.run_socket Server.default_config
        ~path:(Filename.concat file "x.sock"))
 
+let test_socket_regular_file_kept () =
+  (* a regular file at PATH is not a stale socket: it keeps its bytes
+     and the server refuses to listen, an input error (2) *)
+  let file = Filename.temp_file "diam-serve" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let bytes = "not a socket\n" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc bytes);
+  Helpers.check_int "exit code" 2
+    (Server.run_socket Server.default_config ~path:file);
+  Helpers.check Alcotest.string "bytes kept" bytes
+    (In_channel.with_open_bin file In_channel.input_all)
+
 let suite =
   [
     Alcotest.test_case "request roundtrip" `Quick test_parse_roundtrip;
@@ -638,6 +650,8 @@ let suite =
       test_exec_key_separates_configs;
     Alcotest.test_case "socket: unbindable path is an input error" `Quick
       test_socket_unbindable_path;
+    Alcotest.test_case "socket: a regular file at the path is kept" `Quick
+      test_socket_regular_file_kept;
     Alcotest.test_case "session: mixed corpus, jobs-independent" `Quick
       test_session_mixed;
     Alcotest.test_case "session: adjacent duplicates read as hits" `Quick
