@@ -17,6 +17,18 @@ val lit : t -> Netlist.Lit.t -> Backend.lit
 (** Solver literal for a netlist literal, encoding its combinational
     cone (down to inputs/state elements) on first use. *)
 
+val merge : t -> int -> Netlist.Lit.t -> unit
+(** [merge t v l] records that AND vertex [v] equals [l] in every
+    valuation of the cut points, which the caller has proven in this
+    frame's solver.  From then on [v] reads as [l]'s solver literal,
+    and ANDs encoded later are built over their fanins' merged
+    literals.  Every AND is folded and structurally hashed on its
+    solver-literal pair, so a chain of equivalent gates encodes to a
+    linear number of clauses; in a frame that never merges the
+    netlist is already hashed, and every AND is a fresh variable with
+    its three clauses.
+    @raise Invalid_argument if [v] is not an AND. *)
+
 val state_var : t -> int -> Backend.lit
 (** Solver literal (positive) for the current-state output of a
     register/latch variable. *)

@@ -159,6 +159,21 @@ let signatures ~seed ~steps net =
   done;
   Array.init n (fun v -> sigs.{v})
 
+(* Free-state words: every input, register and latch output is a
+   fresh random cut point, as in a combinational SAT frame, so an AND
+   only reads lower vertices and one pass in vertex order is exact. *)
+let free_words ~seed net =
+  let rng = Random.State.make [| seed; 0xf4ee |] in
+  let vals = words (Net.num_vars net) in
+  Net.iter_nodes net (fun v node ->
+      match node with
+      | Net.Const -> ()
+      | Net.Input _ | Net.Reg _ | Net.Latch _ -> vals.{v} <- random_word rng
+      | Net.And (a, b) ->
+        vals.{v} <-
+          Int64.logand (lit_word vals (Lit.to_int a)) (lit_word vals (Lit.to_int b)));
+  fun l -> lit_word vals (Lit.to_int l)
+
 let canonical_signature s =
   let c = Int64.lognot s in
   if Int64.unsigned_compare s c <= 0 then (s, false) else (c, true)

@@ -28,6 +28,14 @@ val signatures : seed:int -> steps:int -> Net.t -> int64 array
     candidate uses the complement-closed variant in
     {!canonical_signature}. *)
 
+val free_words : seed:int -> Net.t -> Lit.t -> int64
+(** [free_words ~seed net] evaluates the netlist once with every input,
+    register and latch output set to an independent random word: the
+    cut points of a combinational SAT frame.  Two literals whose free
+    words differ are therefore not combinationally equivalent, which
+    refutes a signature candidate without a SAT check.  The returned
+    function gives a literal's word. *)
+
 val canonical_signature : int64 -> int64 * bool
 (** [canonical_signature s] maps a signature and its complement-lane
     counterpart to a canonical representative, returning the

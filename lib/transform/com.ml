@@ -64,25 +64,24 @@ let structural_redirects net =
     (Net.regs net);
   (redirects, !const_regs, !merged_regs)
 
-(* SAT sweeping of combinational vertices.  Returns redirects. *)
+(* SAT sweeping of combinational vertices, FRAIG style.  Candidate
+   classes come from reachable-state signatures; each class's
+   representative is its lowest literal, the first one met in vertex
+   order.  A member whose free-state word differs from its
+   representative's is refuted without a SAT check; the rest are
+   checked in vertex order, and each proven member is merged in the
+   frame, so later cones are encoded over representatives.  Returns
+   the redirects. *)
 let sweep ~seed ~sim_steps ?budget ?inprocess net =
   let sigs = Bsim.signatures ~seed ~steps:sim_steps net in
-  let classes = Hashtbl.create 256 in
-  Net.iter_nodes net (fun v node ->
-      match node with
-      | Net.And _ | Net.Const ->
-        (* the constant vertex participates so that semantically
-           constant ANDs merge onto it *)
-        let key, flipped = Bsim.canonical_signature sigs.(v) in
-        let lit = Lit.of_var v ~sign:flipped in
-        Hashtbl.replace classes key
-          (lit :: Option.value (Hashtbl.find_opt classes key) ~default:[])
-      | Net.Input _ | Net.Reg _ | Net.Latch _ -> ());
+  let free = Bsim.free_words ~seed net in
   let solver = Solver.create ?inprocess () in
   let frame = Encode.Frame.create solver net in
+  let reps = Hashtbl.create 256 in
   let redirects = Hashtbl.create 16 in
   let merged = ref 0 in
   let checks = ref 0 in
+  let refuted = ref 0 in
   let max_conflicts = Option.bind budget Obs.Budget.conflicts in
   let max_propagations = Option.bind budget Obs.Budget.propagations in
   let should_stop = Option.bind budget Obs.Budget.should_stop in
@@ -96,27 +95,36 @@ let sweep ~seed ~sim_steps ?budget ?inprocess net =
   in
   let equivalent a b =
     (* a == b iff both (a & ~b) and (~a & b) are unsatisfiable *)
-    incr checks;
     let sa = Encode.Frame.lit frame a in
     let sb = Encode.Frame.lit frame b in
-    unsat [ sa; Solver.negate sb ] && unsat [ Solver.negate sa; sb ]
+    sa = sb
+    || begin
+      incr checks;
+      unsat [ sa; Solver.negate sb ] && unsat [ Solver.negate sa; sb ]
+    end
   in
-  Hashtbl.iter
-    (fun _key members ->
-      match List.sort Lit.compare members with
-      | [] | [ _ ] -> ()
-      | rep :: rest ->
-        List.iter
-          (fun l ->
-            if equivalent rep l then begin
-              (* redirect the later vertex onto the representative,
-                 respecting relative polarity *)
-              let target = Lit.xor_sign rep (Lit.is_neg l) in
-              Hashtbl.replace redirects (Lit.var l) target;
-              incr merged
-            end)
-          rest)
-    classes;
+  Net.iter_nodes net (fun v node ->
+      match node with
+      | Net.And _ | Net.Const -> (
+        (* the constant vertex participates so that semantically
+           constant ANDs merge onto it *)
+        let key, flipped = Bsim.canonical_signature sigs.(v) in
+        let l = Lit.of_var v ~sign:flipped in
+        match Hashtbl.find_opt reps key with
+        | None -> Hashtbl.add reps key l
+        | Some rep ->
+          if not (Int64.equal (free rep) (free l)) then incr refuted
+          else if equivalent rep l then begin
+            (* redirect the later vertex onto the representative,
+               respecting relative polarity *)
+            let target = Lit.xor_sign rep (Lit.is_neg l) in
+            Encode.Frame.merge frame v target;
+            Hashtbl.replace redirects v target;
+            incr merged
+          end)
+      | Net.Input _ | Net.Reg _ | Net.Latch _ -> ());
+  Obs.Stats.count "com.sat_checks" !checks;
+  Obs.Stats.count "com.sim_refuted" !refuted;
   (redirects, !merged, !checks)
 
 let run ?(seed = 0x5eed) ?(sim_steps = 31) ?(max_rounds = 8) ?budget ?inprocess net =
@@ -128,45 +136,43 @@ let run ?(seed = 0x5eed) ?(sim_steps = 31) ?(max_rounds = 8) ?budget ?inprocess 
       true
     | _ -> false
   in
-  let rec go round map current const_regs merged_regs merged_ands sat_checks =
-    if round >= max_rounds || expired () then
-      ( { Rebuild.net = current; map },
-        {
-          rounds = round;
-          const_regs;
-          merged_regs;
-          merged_ands;
-          sat_checks;
-        } )
+  let rec go map current (s : stats) =
+    if s.rounds >= max_rounds || expired () then ({ Rebuild.net = current; map }, s)
     else begin
       let structural, cr, mr = structural_redirects current in
       let swept, ma, sc =
         if Hashtbl.length structural = 0 then
-          sweep ~seed:(seed + round) ~sim_steps ?budget ?inprocess current
+          sweep ~seed:(seed + s.rounds) ~sim_steps ?budget ?inprocess current
         else (Hashtbl.create 0, 0, 0)
       in
+      let s = { s with sat_checks = s.sat_checks + sc } in
       let redirect v =
         match Hashtbl.find_opt structural v with
         | Some l -> Some l
         | None -> Hashtbl.find_opt swept v
       in
       if Hashtbl.length structural = 0 && Hashtbl.length swept = 0 then
-        ( { Rebuild.net = current; map },
-          {
-            rounds = round;
-            const_regs;
-            merged_regs;
-            merged_ands;
-            sat_checks;
-          } )
+        ({ Rebuild.net = current; map }, s)
       else begin
         let step = Rebuild.copy ~redirect current in
-        go (round + 1) (compose_maps map step) step.Rebuild.net
-          (const_regs + cr) (merged_regs + mr) (merged_ands + ma)
-          (sat_checks + sc)
+        go (compose_maps map step) step.Rebuild.net
+          {
+            s with
+            rounds = s.rounds + 1;
+            const_regs = s.const_regs + cr;
+            merged_regs = s.merged_regs + mr;
+            merged_ands = s.merged_ands + ma;
+          }
       end
     end
   in
   (* initial cleanup pass: COI restriction + re-strash *)
   let first = Rebuild.copy net in
-  go 0 (compose_maps identity first) first.Rebuild.net 0 0 0 0
+  go (compose_maps identity first) first.Rebuild.net
+    {
+      rounds = 0;
+      const_regs = 0;
+      merged_regs = 0;
+      merged_ands = 0;
+      sat_checks = 0;
+    }

@@ -11,10 +11,20 @@
     - structural sequential merging: registers with identical
       next-state literal and identical constant initial value;
       registers provably stuck at a constant;
-    - SAT sweeping: candidate equivalences of combinational vertices
-      proposed by bit-parallel random simulation and confirmed by a
-      SAT check over all input/state valuations (state elements are
-      cut points, so confirmed merges are sound in any state).
+    - SAT sweeping, FRAIG style: candidate equivalences of
+      combinational vertices are proposed by bit-parallel random
+      simulation from the initial state, each class represented by
+      its lowest literal.  A SAT check over all input/state valuations
+      confirms a candidate (state elements are cut points, so
+      confirmed merges are sound in any state).  Before any check,
+      one free-state simulation word per vertex ({!Netlist.Bsim.free_words}:
+      inputs, registers and latches all random, as the check's cut
+      points) refutes every candidate whose word differs from its
+      representative's.  The rest are checked in vertex order in one
+      frame, and each proven member is merged there
+      ({!Encode.Frame.merge}), so later vertices are encoded over
+      their fanins' representatives and structurally hashed: a chain
+      of equivalent gates costs linear, not quadratic, work.
 
     Registers with nondeterministic ([Init_x]) initial values are
     never merged with each other: two such registers disagree at time
@@ -26,6 +36,12 @@ type stats = {
   merged_regs : int;
   merged_ands : int;  (** SAT-confirmed combinational merges *)
   sat_checks : int;
+      (** candidate equivalences that reached the SAT solver (one or
+          two solves each), in every round; candidates refuted by
+          simulation or equal by construction in the frame are not
+          counted.  Also added to the [com.sat_checks] counter;
+          candidates refuted by their free-state word are added to
+          the [com.sim_refuted] counter. *)
 }
 
 val run :

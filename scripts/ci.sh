@@ -4,17 +4,36 @@
 # instead of stalling it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
 
 timeout 300 dune build
 timeout 900 dune runtest
 
 # Deep netlists: a 100k-deep forward-referenced chain must parse, walk,
-# SAT-encode, simulate and go through COM with the stack capped at 1M
-# words, where recursion overflows.
+# SAT-encode and simulate with the stack capped at 1M words, where
+# recursion overflows, and COM must run to completion and collapse the
+# chain of equivalent gates onto one AND.
 # Run the built binary directly so the cap does not apply to dune.
 OCAMLRUNPARAM=l=1M timeout 120 _build/default/test/deep/deep.exe \
   || { echo "ci: deep netlist (FAIL)"; exit 1; }
 echo "ci: deep netlist ok"
+
+# COM's sweep is linear on chains of equivalent gates: COM,RET,COM on a
+# 20k-link chain (every link computes a & ~b) must bound its one
+# target well inside the time limit.
+awk 'BEGIN {
+  n = 20000
+  print "INPUT(a)"; print "INPUT(b)"; print "OUTPUT(g0)"
+  for (i = 0; i < n - 1; i++) printf "g%d = AND(g%d, a)\n", i, i + 1
+  printf "g%d = NOT(b)\n", n - 1
+}' > "$tmpdir/chain.bench"
+timeout 30 _build/default/bin/diam_tool.exe "$tmpdir/chain.bench" \
+  --pipeline com-ret-com > "$tmpdir/chain.out" \
+  || { echo "ci: COM,RET,COM on a 20k chain (FAIL)"; exit 1; }
+grep -q "^targets below cutoff 50: 1/1" "$tmpdir/chain.out" \
+  || { cat "$tmpdir/chain.out"; echo "ci: 20k chain not bounded (FAIL)"; exit 1; }
+echo "ci: COM on a 20k chain ok"
 
 # Smoke-test the resource governance end to end: a 1-second deadline
 # on a real design must come back promptly with a definite verdict
@@ -57,8 +76,6 @@ esac
 # per-depth solver spans, and trace-report must digest it.  Either
 # definite verdict (0/1) is fine — the stage tests the trace, not the
 # verdict.
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
 rc=0
 timeout 60 dune exec bin/bmc_tool.exe -- examples/counter3.bench \
   --trace "$tmpdir/bmc.trace.json" || rc=$?

@@ -253,13 +253,14 @@ let corpus_arm dir =
 
 let cutoff = 50
 
-(* bounding and reduction counters only; the per-target bound gauges
+(* bounding and reduction counters, and COM's SAT checks and
+   simulation refutations, only; the per-target bound gauges
    ("bound.<pipeline>.<target>.raw") keep just the last design's value
    of each name, and the sums printed with the verdict cover the bounds
    of every design *)
 let table_counter name =
   match String.split_on_char '.' name with
-  | [ "bound"; _ ] | "pipeline" :: _ -> true
+  | [ "bound"; _ ] | [ "com"; _ ] | "pipeline" :: _ -> true
   | _ -> false
 
 (* Each pipeline of the paper's table over a whole design family under

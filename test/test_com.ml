@@ -1,7 +1,121 @@
 module Net = Netlist.Net
 module Lit = Netlist.Lit
 
+module Bsim = Netlist.Bsim
+module Rebuild = Transform.Rebuild
+
 let run net = fst (Transform.Com.run net)
+
+(* An independent reference for the sweep: the one it replaced, which
+   sends every candidate to the SAT solver, class by class in hash
+   table order, over a frame without merges.  Everything else (the
+   structural redirects, the rounds, the rebuilds) is as in [Com], so
+   the two must agree on every merge, and the reduced netlists and
+   vertex maps must be identical. *)
+module Ref = struct
+  let compose_maps first (second : Rebuild.result) =
+    Array.map
+      (fun slot ->
+        match slot with
+        | None -> None
+        | Some l -> (
+          match second.Rebuild.map.(Lit.var l) with
+          | None -> None
+          | Some nl -> Some (Lit.xor_sign nl (Lit.is_neg l))))
+      first
+
+  let structural_redirects net =
+    let redirects = Hashtbl.create 16 in
+    let by_shape = Hashtbl.create 64 in
+    List.iter
+      (fun v ->
+        let r = Net.reg_of net v in
+        let next = r.Net.next in
+        let stuck =
+          match r.Net.r_init with
+          | Net.Init0 when Lit.equal next Lit.false_ || Lit.equal next (Lit.make v)
+            ->
+            Some Lit.false_
+          | Net.Init1 when Lit.equal next Lit.true_ || Lit.equal next (Lit.make v)
+            ->
+            Some Lit.true_
+          | Net.Init0 | Net.Init1 | Net.Init_x -> None
+        in
+        match (stuck, r.Net.r_init) with
+        | Some c, _ -> Hashtbl.replace redirects v c
+        | None, Net.Init_x -> ()
+        | None, (Net.Init0 | Net.Init1) -> (
+          let key = (Lit.to_int next, r.Net.r_init) in
+          match Hashtbl.find_opt by_shape key with
+          | None -> Hashtbl.add by_shape key v
+          | Some rep -> Hashtbl.replace redirects v (Lit.make rep)))
+      (Net.regs net);
+    redirects
+
+  let sweep ~seed net checks =
+    let sigs = Bsim.signatures ~seed ~steps:31 net in
+    let classes = Hashtbl.create 256 in
+    Net.iter_nodes net (fun v node ->
+        match node with
+        | Net.And _ | Net.Const ->
+          let key, flipped = Bsim.canonical_signature sigs.(v) in
+          let lit = Lit.of_var v ~sign:flipped in
+          Hashtbl.replace classes key
+            (lit :: Option.value (Hashtbl.find_opt classes key) ~default:[])
+        | Net.Input _ | Net.Reg _ | Net.Latch _ -> ());
+    let solver = Backend.create () in
+    let frame = Encode.Frame.create solver net in
+    let redirects = Hashtbl.create 16 in
+    let unsat assumptions = Backend.solve ~assumptions solver = Backend.Unsat in
+    let equivalent a b =
+      incr checks;
+      let sa = Encode.Frame.lit frame a in
+      let sb = Encode.Frame.lit frame b in
+      unsat [ sa; Backend.negate sb ] && unsat [ Backend.negate sa; sb ]
+    in
+    Hashtbl.iter
+      (fun _key members ->
+        match List.sort Lit.compare members with
+        | [] | [ _ ] -> ()
+        | rep :: rest ->
+          List.iter
+            (fun l ->
+              if equivalent rep l then
+                Hashtbl.replace redirects (Lit.var l)
+                  (Lit.xor_sign rep (Lit.is_neg l)))
+            rest)
+      classes;
+    redirects
+
+  (* the reduced netlist and the number of equivalence checks *)
+  let run ?(seed = 0x5eed) ?(max_rounds = 8) net =
+    let checks = ref 0 in
+    let rec go round map current =
+      if round >= max_rounds then { Rebuild.net = current; map }
+      else begin
+        let structural = structural_redirects current in
+        let swept =
+          if Hashtbl.length structural = 0 then
+            sweep ~seed:(seed + round) current checks
+          else Hashtbl.create 0
+        in
+        let redirect v =
+          match Hashtbl.find_opt structural v with
+          | Some l -> Some l
+          | None -> Hashtbl.find_opt swept v
+        in
+        if Hashtbl.length structural = 0 && Hashtbl.length swept = 0 then
+          { Rebuild.net = current; map }
+        else
+          let step = Rebuild.copy ~redirect current in
+          go (round + 1) (compose_maps map step) step.Rebuild.net
+      end
+    in
+    let identity = Array.init (Net.num_vars net) (fun v -> Some (Lit.make v)) in
+    let first = Rebuild.copy net in
+    let r = go 0 (compose_maps identity first) first.Rebuild.net in
+    (r, !checks)
+end
 
 let test_merges_associations () =
   (* (a & b) & c vs a & (b & c): only SAT sweeping sees through *)
@@ -83,6 +197,55 @@ let test_guard_counter_freezes () =
   Helpers.check_bool "target constant false" true
     (Lit.equal (List.assoc "t" (Net.targets reduced.Transform.Rebuild.net)) Lit.false_)
 
+let test_free_state_refutes () =
+  (* r2 is ~r1 in every reachable state, so g1 and g2 share a
+     signature; with the registers as free cut points they differ, and
+     the free-state word drops the pair before any SAT check *)
+  let net = Net.create () in
+  let a = Net.add_input net "a" in
+  let b = Net.add_input net "b" in
+  let r1 = Net.add_reg net ~init:Net.Init0 "r1" in
+  let r2 = Net.add_reg net ~init:Net.Init1 "r2" in
+  Net.set_next net r1 a;
+  Net.set_next net r2 (Lit.neg a);
+  Net.add_target net "g1" (Net.add_and net r1 b);
+  Net.add_target net "g2" (Net.add_and net (Lit.neg r2) b);
+  let refuted = Obs.Stats.counter "com.sim_refuted" in
+  let before = Obs.Stats.counter_value refuted in
+  let reduced, stats = Transform.Com.run net in
+  Helpers.check_int "both ANDs kept" 2 (Net.num_ands reduced.Rebuild.net);
+  Helpers.check_int "no SAT check" 0 stats.Transform.Com.sat_checks;
+  Helpers.check_bool "refuted by the free-state word" true
+    (Obs.Stats.counter_value refuted > before);
+  let _, ref_checks = Ref.run net in
+  Helpers.check_bool "the reference sweep checks the pair" true (ref_checks > 0)
+
+(* a random register netlist (Init_x registers included) with every
+   gate and register an output, so most of it survives the COI cut *)
+let rand_outputs seed =
+  let rng = Workload.Rng.create seed in
+  let net, pool = Helpers.rand_net rng ~inputs:3 ~regs:4 ~gates:30 in
+  List.iteri (fun i l -> Net.add_output net (Printf.sprintf "o%d" i) l) pool;
+  net
+
+let same_as_ref net =
+  let got = run net in
+  let want, _ = Ref.run net in
+  String.equal
+    (Textio.Bench_io.to_string got.Rebuild.net)
+    (Textio.Bench_io.to_string want.Rebuild.net)
+  && got.Rebuild.map = want.Rebuild.map
+
+let prop_matches_ref =
+  Helpers.qtest ~count:100 "COM matches the reference sweep (registers)"
+    QCheck.(int_bound 1000000)
+    (fun seed -> same_as_ref (rand_outputs seed))
+
+let prop_matches_ref_latches =
+  Helpers.qtest ~count:60 "COM matches the reference sweep (latches)"
+    QCheck.(int_bound 1000000)
+    (fun seed -> same_as_ref (Workload.Gp.latchify (rand_outputs seed)))
+
 let prop_preserves_semantics_sim =
   Helpers.qtest ~count:60 "COM preserves target traces (simulation)"
     QCheck.(int_bound 1000000)
@@ -151,6 +314,10 @@ let suite =
     Alcotest.test_case "duplicate registers merged" `Quick test_duplicate_registers_merged;
     Alcotest.test_case "X-init registers kept apart" `Quick test_x_init_registers_not_merged;
     Alcotest.test_case "guarded counter freezes" `Quick test_guard_counter_freezes;
+    Alcotest.test_case "free state refutes a reachable-state candidate" `Quick
+      test_free_state_refutes;
+    prop_matches_ref;
+    prop_matches_ref_latches;
     prop_preserves_semantics_sim;
     prop_preserves_semantics_sat;
     prop_idempotent;

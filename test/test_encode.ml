@@ -85,6 +85,30 @@ let test_frame_and_semantics () =
   Helpers.check_bool "g impossible with b=1" true
     (Solver.solve ~assumptions:[ lb; lg ] solver = Solver.Unsat)
 
+let test_frame_merge_hashes () =
+  (* once y is merged onto x, an AND over y is the AND over x that is
+     already encoded: same solver literal, no new variable *)
+  let net = Net.create () in
+  let a = Net.add_input net "a" in
+  let b = Net.add_input net "b" in
+  let c = Net.add_input net "c" in
+  let d = Net.add_input net "d" in
+  let x = Net.add_and net (Net.add_and net a b) c in
+  let y = Net.add_and net a (Net.add_and net b c) in
+  let zx = Net.add_and net x d in
+  let zy = Net.add_and net y d in
+  let solver = Solver.create () in
+  let frame = Encode.Frame.create solver net in
+  let lx = Encode.Frame.lit frame x in
+  let lzx = Encode.Frame.lit frame zx in
+  ignore (Encode.Frame.lit frame y : Solver.lit);
+  Encode.Frame.merge frame (Lit.var y) x;
+  Helpers.check_bool "y reads as x" true
+    (Encode.Frame.lit frame (Lit.neg y) = Solver.negate lx);
+  let vars = Solver.num_vars solver in
+  Helpers.check_bool "z over y is z over x" true (Encode.Frame.lit frame zy = lzx);
+  Helpers.check_int "no new variable" vars (Solver.num_vars solver)
+
 let test_unroll_latch_phases () =
   (* latch transparency in the unrolling mirrors Sim: a phase-0 latch
      is transparent at even times *)
@@ -155,6 +179,8 @@ let suite =
     Alcotest.test_case "input frames sorted" `Quick test_input_frames_sorted;
     Alcotest.test_case "frame is combinational" `Quick test_frame_is_combinational;
     Alcotest.test_case "frame AND semantics" `Quick test_frame_and_semantics;
+    Alcotest.test_case "frame merge hashes over representatives" `Quick
+      test_frame_merge_hashes;
     Alcotest.test_case "unroll latch phases" `Quick test_unroll_latch_phases;
     Alcotest.test_case "Init_x consistency" `Quick test_init_x_consistency;
     prop_unroll_matches_sim;
