@@ -49,11 +49,9 @@ type t = {
   mutable last_solve_sat : bool;
   (* inprocessing (see Simplify) *)
   mutable simplify_enabled : bool; (* captured from the global default *)
-  mutable simplify_cfg : Simplify.config;
   mutable simplify_wrapper : (unit -> unit) -> unit; (* Obs instrumentation *)
-  mutable next_simplify : int; (* conflict count that triggers a pass *)
-  mutable simplify_interval : int;
-  mutable clauses_since_simplify : int;
+  mutable searched : int; (* propagations made by search since the last pass *)
+  mutable payoff : int; (* [searched] must reach this many times the database *)
   mutable frozen : bool array; (* per var: protected from elimination *)
   mutable eliminated : bool array; (* per var: currently eliminated *)
   elim_stack : (int * int array array) Vec.t; (* reconstruction stack *)
@@ -107,6 +105,10 @@ let inprocess_default () =
   | Some b -> b
   | None -> not (env_no_inprocess ())
 
+(* the bounds of [maybe_simplify]'s payoff multiple *)
+let payoff_floor = 12
+let payoff_ceiling = 1024
+
 let create ?inprocess () =
   {
     nvars = 0;
@@ -137,11 +139,9 @@ let create ?inprocess () =
     last_solve_sat = false;
     simplify_enabled =
       (match inprocess with Some b -> b | None -> inprocess_default ());
-    simplify_cfg = Simplify.default;
     simplify_wrapper = (fun f -> f ());
-    next_simplify = 0;
-    simplify_interval = 1000;
-    clauses_since_simplify = 0;
+    searched = 0;
+    payoff = payoff_floor;
     frozen = [||];
     eliminated = [||];
     elim_stack = Vec.create ~dummy:(0, [||]) ();
@@ -686,7 +686,6 @@ let add_clause s lits =
           }
         in
         Vec.push s.clauses c;
-        s.clauses_since_simplify <- s.clauses_since_simplify + 1;
         watch s l0 c;
         watch s l1 c
     end
@@ -719,7 +718,7 @@ let run_simplify s =
       s.clauses;
     let records = Array.of_list (List.rev !records) in
     let r =
-      Simplify.run ~config:s.simplify_cfg ~nvars:s.nvars
+      Simplify.run ~nvars:s.nvars
         ~frozen:(fun v -> s.frozen.(v) || s.eliminated.(v))
         ~value:(lvalue s)
         ~log_add:(fun lits -> log_event s (fun p -> Proof.log_add p lits))
@@ -789,24 +788,34 @@ let run_simplify s =
                 s.ok <- false;
                 log_event s (fun p -> Proof.log_add p [||])
               end)
-        r.Simplify.units;
-    s.clauses_since_simplify <- 0
+        r.Simplify.units
   end
 
-(* Run a pass when the conflict schedule or clause-database growth says
-   so; called at solve entry and restart boundaries (decision level 0).
+(* Run a pass when search has paid for it; called at solve entry and
+   restart boundaries (decision level 0).  A pass walks the whole
+   problem clause database, so it may run only once the propagations
+   made by search since the last pass reach [payoff] times the live
+   problem clauses: a fresh solver never simplifies before it has
+   searched, and a run of short incremental solves decided by
+   propagation pays no pass however many clauses its frames add.  A
+   pass that shrinks the database by less than a sixteenth doubles
+   [payoff] for the next one; one that shrinks it more halves it.
    The wrapper hook lets the observability layer time the pass without
    lib/sat depending on lib/obs. *)
 let maybe_simplify s =
+  let db = Vec.size s.clauses in
   if
     s.simplify_enabled && s.ok
     && decision_level s = 0
-    && (s.conflicts >= s.next_simplify
-       || s.clauses_since_simplify > (Vec.size s.clauses / 3) + 256)
+    && s.searched > 0
+    && s.searched >= s.payoff * db
   then begin
     s.simplify_wrapper (fun () -> run_simplify s);
-    s.simplify_interval <- s.simplify_interval + (s.simplify_interval / 2);
-    s.next_simplify <- s.conflicts + s.simplify_interval
+    s.searched <- 0;
+    s.payoff <-
+      (if 16 * (db - Vec.size s.clauses) < db then
+         min payoff_ceiling (2 * s.payoff)
+       else max payoff_floor (s.payoff / 2))
   end
 
 let simplify_now s =
@@ -1020,15 +1029,40 @@ let solve ?(assumptions = []) ?max_conflicts ?max_propagations ?should_stop s =
          | None -> false)
       || match should_stop with Some f -> f () | None -> false
     in
+    (* search effort is banked into [s.searched] before every schedule
+       check and at the end; propagations made by a pass's own units are
+       not search *)
+    let mark = ref s.propagations in
+    let bank () =
+      s.searched <- s.searched + (s.propagations - !mark);
+      mark := s.propagations
+    in
+    (* a pass is recouped only by the search after it: under an
+       allowance, none runs once half of it is spent *)
+    let recoupable () =
+      (match max_conflicts with
+      | Some m -> 2 * (s.conflicts - conflicts0) <= m
+      | None -> true)
+      &&
+      match max_propagations with
+      | Some m -> 2 * (s.propagations - propagations0) <= m
+      | None -> true
+    in
+    let simplify () =
+      bank ();
+      if recoupable () then maybe_simplify s;
+      mark := s.propagations;
+      if not s.ok then raise Found_unsat
+    in
     (* default Unknown: [run] only returns normally on exhaustion *)
     let result = ref Unknown in
     (try
-       maybe_simplify s;
-       if not s.ok then raise Found_unsat;
        let restart = ref 0 in
+       (* a pass may run at solve entry and at each restart boundary *)
        let rec run () =
          if out_of_budget () then ()
          else begin
+           simplify ();
            let luby_budget = int_of_float (100. *. luby 2. !restart) in
            let budget =
              (* never overshoot a conflict allowance by a whole Luby
@@ -1041,8 +1075,6 @@ let solve ?(assumptions = []) ?max_conflicts ?max_propagations ?should_stop s =
            | `Restart ->
              s.restarts <- s.restarts + 1;
              incr restart;
-             maybe_simplify s;
-             if not s.ok then raise Found_unsat;
              run ()
          end
        in
@@ -1050,6 +1082,7 @@ let solve ?(assumptions = []) ?max_conflicts ?max_propagations ?should_stop s =
      with
     | Found_sat -> result := Sat
     | Found_unsat -> result := Unsat);
+    bank ();
     if !result = Sat then begin
       (* save the model in the phase array, then release decisions *)
       for v = 0 to s.nvars - 1 do

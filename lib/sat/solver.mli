@@ -3,10 +3,11 @@
     Features: two-watched-literal propagation, first-UIP conflict-clause
     learning with basic minimization, VSIDS variable activities with
     phase saving, Luby restarts, LBD-tiered learnt-clause management
-    (core / tier2 / local by glue), inprocessing at restart boundaries
-    (subsumption, self-subsuming resolution, bounded variable
-    elimination, failed-literal probing — see {!Simplify}), and
-    incremental solving under assumptions.  Assumption variables are
+    (core / tier2 / local by glue), inprocessing at solve entry and
+    restart boundaries once search has paid for it (subsumption,
+    self-subsuming resolution, bounded variable elimination,
+    failed-literal probing — see {!Simplify}), and incremental
+    solving under assumptions.  Assumption variables are
     frozen against elimination; eliminated variables are transparently
     reintroduced when later clauses or assumptions mention them, and
     models are extended over eliminated variables before being
@@ -155,7 +156,11 @@ val set_inprocess_default : bool -> unit
 val inprocess_default : unit -> bool
 
 val set_inprocess : t -> bool -> unit
-(** Enable/disable scheduled inprocessing for this solver instance. *)
+(** Enable/disable scheduled inprocessing for this solver instance.
+    A scheduled pass runs only once the propagations made by search
+    since the last pass reach a multiple of the live problem clauses,
+    and under a per-call allowance only while at most half of it is
+    spent: a solve decided by propagation alone runs none. *)
 
 val simplify_now : t -> unit
 (** Run one inprocessing pass immediately, regardless of the schedule

@@ -522,6 +522,32 @@ for name in ("pipeline.phase", "pipeline.com", "pipeline.com-ret-com"):
 PY
 echo "ci: one pass per design ok"
 
+# Inprocessing changes solver work, never a verdict: diam-verify must
+# print the same verdict lines (attempt timings stripped) and exit with
+# the same code with and without --no-inprocess, on every example
+# design and on the generated v_cach and d_dcla.
+timeout 60 dune exec bin/gen_tool.exe -- --design D_DCLA \
+  -o "$tmpdir/d_dcla.bench" > /dev/null
+for f in examples/*.bench "$tmpdir/v_cach.bench" "$tmpdir/d_dcla.bench"; do
+  for mode in on off; do
+    flag=""
+    [ "$mode" = off ] && flag=--no-inprocess
+    rc=0
+    timeout 300 dune exec bin/verify_tool.exe -- "$f" $flag \
+      > "$tmpdir/inproc.$mode.raw" || rc=$?
+    case "$rc" in
+      0|1|3) ;;
+      *) echo "ci: $f inprocessing $mode exit $rc (FAIL)"; exit 1 ;;
+    esac
+    sed -E 's/ \([0-9.]+ms\)$//' "$tmpdir/inproc.$mode.raw" \
+      > "$tmpdir/inproc.$mode.out"
+    echo "exit $rc" >> "$tmpdir/inproc.$mode.out"
+  done
+  diff -u "$tmpdir/inproc.on.out" "$tmpdir/inproc.off.out" \
+    || { echo "ci: $f verdicts differ with --no-inprocess (FAIL)"; exit 1; }
+done
+echo "ci: inprocessing on/off verdicts ok"
+
 # Bench smoke: the paper-reproduction harness still runs; its cheapest
 # experiment, the B1 recurrence-diameter comparison, prints its table.
 timeout 300 dune exec bench/main.exe -- baseline > "$tmpdir/bench.out" \

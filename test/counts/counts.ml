@@ -82,6 +82,13 @@ let bmc_designs =
         in
         let g = Workload.Gen.com_guard net rng ~inputs in
         (Workload.Gen.counter net ~name:"c" ~bits:6 ~enable:g).Workload.Gen.out );
+    (* always enabled: the reset state decides every depth by
+       propagation, so the 41 solves are short and run no pass *)
+    ( "shallow",
+      40,
+      fun net ->
+        (Workload.Gen.counter net ~name:"c" ~bits:6 ~enable:Lit.true_)
+          .Workload.Gen.out );
   ]
 
 let brief_outcome = function

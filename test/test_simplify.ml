@@ -304,6 +304,63 @@ let prop_bmc_corpus_equivalence =
       | Bmc.No_hit a, Bmc.No_hit b -> a = b
       | _ -> false)
 
+(* ----- the inprocessing schedule ----- *)
+
+let test_no_pass_before_search () =
+  (* a balanced AND tree over 64 inputs: assuming every input true
+     decides the whole problem by propagation, with no decision and no
+     conflict, so the solver has done no search to pay for a pass *)
+  let s = Solver.create ~inprocess:true () in
+  let inputs = List.init 64 (fun _ -> Solver.new_var s) in
+  let rec tree = function
+    | [ v ] -> v
+    | vs ->
+      let rec pair = function
+        | a :: b :: rest ->
+          let v = Solver.new_var s in
+          Solver.add_clause s [ Solver.neg_of v; Solver.pos a ];
+          Solver.add_clause s [ Solver.neg_of v; Solver.pos b ];
+          Solver.add_clause s
+            [ Solver.pos v; Solver.neg_of a; Solver.neg_of b ];
+          v :: pair rest
+        | rest -> rest
+      in
+      tree (pair vs)
+  in
+  let root = tree inputs in
+  Helpers.check_bool "sat" true
+    (Solver.solve ~assumptions:(List.map Solver.pos inputs) s = Solver.Sat);
+  Helpers.check_bool "root forced" true (Solver.value s (Solver.pos root));
+  Helpers.check_int "no decision" 0 (Solver.num_decisions s);
+  Helpers.check_int "no conflict" 0 (Solver.num_conflicts s);
+  Helpers.check_int "no pass" 0 (Solver.num_simplifies s)
+
+let test_short_incremental_solves_pay_no_pass () =
+  (* a shallow BMC unrolling: 16 pairs of registers latch the same free
+     inputs, and the target asks every pair to disagree.  Assuming it
+     refutes each depth with one conflict and a few propagations, while
+     each frame adds ~90 clauses.  Over the 41 incremental solves at
+     most one pass may run. *)
+  let module Net = Netlist.Net in
+  let net = Net.create () in
+  let disagree =
+    List.init 16 (fun i ->
+        let x = Net.add_input net (Printf.sprintf "x%d" i) in
+        let a = Net.add_reg net (Printf.sprintf "a%d" i)
+        and b = Net.add_reg net (Printf.sprintf "b%d" i) in
+        Net.set_next net a x;
+        Net.set_next net b x;
+        Net.add_and net a (Netlist.Lit.neg b))
+  in
+  Net.add_target net "t" (Net.add_and_list net disagree);
+  Obs.Stats.reset ();
+  let outcome = bmc_with true net 40 in
+  let counter name = Obs.Stats.counter_value (Obs.Stats.counter name) in
+  Helpers.check_bool "no hit through depth 40" true (outcome = Bmc.No_hit 40);
+  Helpers.check_int "41 solves" 41 (counter "sat.solves");
+  Helpers.check_bool "search ran" true (counter "sat.conflicts" > 0);
+  Helpers.check_bool "at most one pass" true (counter "sat.simplify.runs" <= 1)
+
 let suite =
   [
     Alcotest.test_case "subsumption" `Quick test_subsumption;
@@ -320,6 +377,10 @@ let suite =
       test_drup_from_simplified_run;
     Alcotest.test_case "tiers never drop core" `Quick
       test_tiers_never_drop_core;
+    Alcotest.test_case "no pass before search" `Quick
+      test_no_pass_before_search;
+    Alcotest.test_case "short incremental solves pay no pass" `Quick
+      test_short_incremental_solves_pay_no_pass;
     Alcotest.test_case "chaos flip-to-unsat caught" `Quick
       test_chaos_flip_to_unsat_caught;
     Alcotest.test_case "chaos flip-to-sat caught" `Quick
