@@ -2,11 +2,56 @@ type payload =
   | Proved of { strategy : string; depth : int }
   | Violated of { strategy : string; cex : Bmc.cex }
 
+(* A long-lived serve session's cache is mostly counterexamples, and a
+   [(var, time, value)] list cell costs seven words per input, so an
+   entry keeps its counterexample packed: [inputs] holds [var] and
+   [time * 2 + value] per input, [init_x] holds [var * 2 + value].
+   [find] rebuilds the lists in their original order. *)
+type stored =
+  | Stored_proved of { strategy : string; depth : int }
+  | Stored_violated of {
+      strategy : string;
+      depth : int;
+      inputs : int array;
+      init_x : int array;
+    }
+
+let bit b = if b then 1 else 0
+
+let pack = function
+  | Proved { strategy; depth } -> Stored_proved { strategy; depth }
+  | Violated { strategy; cex } ->
+    let inputs = Array.make (2 * List.length cex.Bmc.inputs) 0 in
+    List.iteri
+      (fun i (v, t, b) ->
+        inputs.(2 * i) <- v;
+        inputs.((2 * i) + 1) <- (t lsl 1) lor bit b)
+      cex.Bmc.inputs;
+    let init_x =
+      Array.of_list (List.map (fun (v, b) -> (v lsl 1) lor bit b) cex.Bmc.init_x)
+    in
+    Stored_violated { strategy; depth = cex.Bmc.depth; inputs; init_x }
+
+let unpack = function
+  | Stored_proved { strategy; depth } -> Proved { strategy; depth }
+  | Stored_violated { strategy; depth; inputs; init_x } ->
+    let inputs =
+      List.init
+        (Array.length inputs / 2)
+        (fun i ->
+          let tb = inputs.((2 * i) + 1) in
+          (inputs.(2 * i), tb asr 1, tb land 1 = 1))
+    in
+    let init_x =
+      List.map (fun x -> (x asr 1, x land 1 = 1)) (Array.to_list init_x)
+    in
+    Violated { strategy; cex = { Bmc.depth; inputs; init_x } }
+
 (* intrusive doubly-linked LRU order: [first] is most recently used,
    [last] is the eviction candidate *)
 type node = {
   key : string;
-  mutable payload : payload;
+  mutable payload : stored;
   mutable size : int;
   mutable prev : node option; (* towards [first] *)
   mutable next : node option; (* towards [last] *)
@@ -25,15 +70,16 @@ type t = {
 (* Approximate heap footprint.  The budget exists to keep a long-lived
    server's memory bounded, not to account bytes exactly, so a cheap
    structural estimate is enough: fixed per-node overhead (node, two
-   hashtable words, LRU links) plus string payloads plus list cells. *)
+   hashtable words, LRU links) plus string payloads plus the packed
+   counterexample arrays. *)
 let node_overhead = 120
 
 let payload_bytes = function
-  | Proved { strategy; _ } -> 32 + String.length strategy
-  | Violated { strategy; cex } ->
-    48 + String.length strategy
-    + (48 * List.length cex.Bmc.inputs)
-    + (32 * List.length cex.Bmc.init_x)
+  | Stored_proved { strategy; _ } -> 32 + String.length strategy
+  | Stored_violated { strategy; inputs; init_x; _ } ->
+    64 + String.length strategy
+    + (8 * Array.length inputs)
+    + (8 * Array.length init_x)
 
 let entry_bytes key payload =
   node_overhead + String.length key + payload_bytes payload
@@ -106,12 +152,13 @@ let find t key =
       | Some n ->
         touch t n;
         Obs.Stats.count (c t "hits") 1;
-        Some n.payload
+        Some (unpack n.payload)
       | None ->
         Obs.Stats.count (c t "misses") 1;
         None)
 
 let add t key payload =
+  let payload = pack payload in
   let size = entry_bytes key payload in
   locked t (fun () ->
       if size > t.max_bytes then begin
@@ -142,7 +189,7 @@ let purge t pred =
   locked t (fun () ->
       let doomed =
         Hashtbl.fold
-          (fun _ n acc -> if pred n.key n.payload then n :: acc else acc)
+          (fun _ n acc -> if pred n.key (unpack n.payload) then n :: acc else acc)
           t.index []
       in
       List.iter (drop t) doomed;

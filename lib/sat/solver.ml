@@ -51,7 +51,6 @@ type t = {
   mutable simplify_enabled : bool; (* captured from the global default *)
   mutable simplify_wrapper : (unit -> unit) -> unit; (* Obs instrumentation *)
   mutable searched : int; (* propagations made by search since the last pass *)
-  mutable payoff : int; (* [searched] must reach this many times the database *)
   mutable frozen : bool array; (* per var: protected from elimination *)
   mutable eliminated : bool array; (* per var: currently eliminated *)
   elim_stack : (int * int array array) Vec.t; (* reconstruction stack *)
@@ -105,9 +104,9 @@ let inprocess_default () =
   | Some b -> b
   | None -> not (env_no_inprocess ())
 
-(* the bounds of [maybe_simplify]'s payoff multiple *)
-let payoff_floor = 12
-let payoff_ceiling = 1024
+(* [maybe_simplify]'s payoff: search must make this many propagations
+   per live problem clause before a pass may walk them *)
+let payoff = 12
 
 let create ?inprocess () =
   {
@@ -141,7 +140,6 @@ let create ?inprocess () =
       (match inprocess with Some b -> b | None -> inprocess_default ());
     simplify_wrapper = (fun f -> f ());
     searched = 0;
-    payoff = payoff_floor;
     frozen = [||];
     eliminated = [||];
     elim_stack = Vec.create ~dummy:(0, [||]) ();
@@ -797,25 +795,18 @@ let run_simplify s =
    made by search since the last pass reach [payoff] times the live
    problem clauses: a fresh solver never simplifies before it has
    searched, and a run of short incremental solves decided by
-   propagation pays no pass however many clauses its frames add.  A
-   pass that shrinks the database by less than a sixteenth doubles
-   [payoff] for the next one; one that shrinks it more halves it.
+   propagation pays no pass however many clauses its frames add.
    The wrapper hook lets the observability layer time the pass without
    lib/sat depending on lib/obs. *)
 let maybe_simplify s =
-  let db = Vec.size s.clauses in
   if
     s.simplify_enabled && s.ok
     && decision_level s = 0
     && s.searched > 0
-    && s.searched >= s.payoff * db
+    && s.searched >= payoff * Vec.size s.clauses
   then begin
     s.simplify_wrapper (fun () -> run_simplify s);
-    s.searched <- 0;
-    s.payoff <-
-      (if 16 * (db - Vec.size s.clauses) < db then
-         min payoff_ceiling (2 * s.payoff)
-       else max payoff_floor (s.payoff / 2))
+    s.searched <- 0
   end
 
 let simplify_now s =

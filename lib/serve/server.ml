@@ -505,25 +505,9 @@ let make_cache cfg =
     ~max_bytes:(max 1 cfg.cache_mb * 1024 * 1024)
     ()
 
-(* A session's verdict cache grows with every cone it answers, and the
-   OCaml 5.1 runtime never returns major-heap memory to the system, so
-   a session's peak resident set follows how far the major heap may run
-   ahead of live data.  A session runs with the major GC's space
-   overhead at most [session_space_overhead] percent (the runtime
-   default is 120) and restores the caller's setting on exit. *)
-let session_space_overhead = 80
-
-let with_session_gc f =
-  let saved = (Gc.get ()).Gc.space_overhead in
-  Gc.set { (Gc.get ()) with Gc.space_overhead = min saved session_space_overhead };
-  Fun.protect
-    ~finally:(fun () -> Gc.set { (Gc.get ()) with Gc.space_overhead = saved })
-    f
-
 let run_session ?cache cfg ~input ~output () =
   let cache = match cache with Some c -> c | None -> make_cache cfg in
   let jobs = max 1 cfg.jobs in
-  with_session_gc @@ fun () ->
   Sched.Pool.with_pool ?capacity:cfg.queue_limit ~jobs (fun pool ->
       let s =
         {

@@ -82,9 +82,7 @@ val run_session :
     or inject one pre-seeded (tests); omitted, a fresh
     ["serve.cache"]-prefixed cache is created.  Blank lines are
     ignored.  The pool is created on entry and fully drained and shut
-    down on exit, also on exceptions.  The session caps the major GC's
-    [space_overhead] at 80 (a long session's heap is never returned to
-    the system) and restores the caller's setting on exit. *)
+    down on exit, also on exceptions. *)
 
 val run_stdio : config -> int
 (** One session over stdin/stdout; returns the process exit code

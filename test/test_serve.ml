@@ -146,6 +146,27 @@ let test_bcache_replace_updates_bytes () =
   Helpers.check_bool "byte estimate tracked the replacement" true
     (Bcache.bytes c <> b1)
 
+let test_bcache_violated_roundtrip () =
+  (* a counterexample is stored packed: a hit must give back the same
+     inputs and initial values, in their order *)
+  let cex =
+    {
+      Bmc.depth = 3;
+      inputs = [ (4, 0, true); (7, 0, false); (4, 3, false); (12, 2, true) ];
+      init_x = [ (9, true); (2, false) ];
+    }
+  in
+  let c = fresh_cache () in
+  Bcache.add c "k" (Bcache.Violated { strategy = "bmc"; cex });
+  Helpers.check_bool "same counterexample" true
+    (match Bcache.find c "k" with
+    | Some (Bcache.Violated { strategy = "bmc"; cex = got }) -> got = cex
+    | _ -> false);
+  Helpers.check_int "purge sees it violated" 1
+    (Bcache.purge c (fun _ -> function
+       | Bcache.Violated { cex = got; _ } -> got = cex
+       | Bcache.Proved _ -> false))
+
 (* ---- the request barrier (Exec) ---- *)
 
 let verify_req ?id ?(netlist = proved_bench) ?target ?timeout_ms
@@ -638,6 +659,8 @@ let suite =
     Alcotest.test_case "bcache purge" `Quick test_bcache_purge;
     Alcotest.test_case "bcache replacement re-accounts bytes" `Quick
       test_bcache_replace_updates_bytes;
+    Alcotest.test_case "bcache violated entry round trip" `Quick
+      test_bcache_violated_roundtrip;
     Alcotest.test_case "exec barrier" `Quick test_exec_barrier;
     Alcotest.test_case "exec budget degrades to unknown" `Quick
       test_exec_budget_degrades;
